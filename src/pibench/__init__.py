@@ -12,7 +12,6 @@ from .fixedpoint import (
     PrecisionCtx,
     default_guard,
     fx_add,
-    fx_cmp,
     fx_div,
     fx_from_ratio,
     fx_mul,
@@ -58,7 +57,6 @@ __all__ = [
     "PrecisionCtx",
     "default_guard",
     "fx_add",
-    "fx_cmp",
     "fx_div",
     "fx_from_ratio",
     "fx_mul",

@@ -16,6 +16,7 @@ from .harness import (
     compare,
     reference_pi,
     run,
+    run_table,
 )
 from .methods import MethodId
 from .report import TableSpec, render_csv, render_markdown, render_plot_data
@@ -23,6 +24,7 @@ from .report import TableSpec, render_csv, render_markdown, render_plot_data
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFERENCE = 2
+EXIT_MISMATCH = 3
 
 
 class UsageError(ValueError):
@@ -41,7 +43,6 @@ class CliConfig:
     reference: str | None = None
     thresholds: list | None = None
     table_id: int | None = None
-    threads: int | None = None
 
 
 def parse_schedule_expr(expr: str) -> Schedule:
@@ -127,14 +128,12 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--guard", type=int, default=None)
     cmp_.add_argument("--format", dest="fmt", choices=("md", "csv", "plot"), default="md")
     cmp_.add_argument("--out", default=None)
-    cmp_.add_argument("--threads", type=int, default=None)
 
     tab = sub.add_parser("table", help="reproduce a published reference table")
     tab.add_argument("--id", type=int, required=True, dest="table_id")
     tab.add_argument("--out", default=None)
 
-    st = sub.add_parser("selftest", help="recompute all reference tables and invariants")
-    st.add_argument("--threads", type=int, default=None)
+    sub.add_parser("selftest", help="recompute all reference tables and invariants")
     return p
 
 
@@ -162,14 +161,11 @@ def parse_args(argv) -> CliConfig:
             raise UsageError("compare needs at least two methods")
         if ns.thresholds is not None:
             cfg.thresholds = [parse_decimal_exp(t) for t in ns.thresholds.split(",")]
-        cfg.threads = ns.threads
     elif ns.command == "table":
         if ns.table_id not in TABLE_PRESETS:
             raise UsageError("--id must be in 1..7")
         cfg.table_id = ns.table_id
         cfg.out = ns.out
-    elif ns.command == "selftest":
-        cfg.threads = ns.threads
     return cfg
 
 
@@ -210,7 +206,6 @@ def _cmd_compare(cfg: CliConfig) -> int:
         cfg.schedule,
         ctx,
         tuple(cfg.thresholds) if cfg.thresholds else None,
-        threads=cfg.threads,
     )
     flat = [r for m in table.methods for r in table.records[m]]
     text = _render_records(flat, cfg.fmt, cfg.working_dp)
@@ -226,21 +221,15 @@ def _cmd_compare(cfg: CliConfig) -> int:
 
 
 def _cmd_table(cfg: CliConfig) -> int:
-    preset = TABLE_PRESETS[cfg.table_id]
-    ctx = preset.ctx
-    ref = reference_pi(ctx)
-    records = []
-    for m in preset.methods:
-        records.extend(run(m, preset.schedule, ctx, ref))
-    text = render_markdown(records, TableSpec.for_table(cfg.table_id))
-    _emit(text, cfg.out)
+    records = run_table(cfg.table_id)
+    _emit(render_markdown(records, TableSpec.for_table(cfg.table_id)), cfg.out)
     return EXIT_OK
 
 
 def _cmd_selftest(cfg: CliConfig) -> int:
-    report = selftest(threads=cfg.threads)
+    report = selftest()
     sys.stdout.write(report.text())
-    return EXIT_OK if report.ok else 1
+    return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def main(argv=None) -> int:

@@ -3,15 +3,16 @@
 A value is a pair (significand, scale) meaning significand * 10**-scale.
 Every context-aware operation returns a result rescaled to the context's
 scale (working digits plus guard digits), rounded half-even. Roots are
-computed by integer Newton iteration and return the floor of the exact
-root at the target scale, which keeps them within one unit in the last
-place.
+computed with math.isqrt (and integer Newton iteration for odd orders)
+and return the floor of the exact root at the target scale, which keeps
+them within one unit in the last place.
 
 Values are immutable; all functions are pure.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -27,43 +28,22 @@ def _div_half_even(num: int, den: int) -> int:
     return q
 
 
-def _isqrt(n: int) -> int:
-    """Floor square root by Newton iteration.
-
-    Seeded above the root, the iteration decreases monotonically; it is
-    stopped at the first non-decreasing step, after which the iterate is
-    exactly floor(sqrt(n)). The trailing correction loops are insurance
-    for the floor property and normally never run.
-    """
-    if n < 0:
-        raise ValueError("square root of a negative value")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 1) // 2)
-    while True:
-        y = (x + n // x) >> 1
-        if y >= x:
-            break
-        x = y
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
-        x += 1
-    return x
-
-
 def _iroot(n: int, r: int) -> int:
-    """Floor r-th root of a non-negative integer, Newton iteration."""
+    """Floor r-th root of a non-negative integer.
+
+    Even orders are peeled off as square roots and an odd remainder is
+    taken by Newton iteration. Nesting is exact for integers:
+    floor(floor(n**(1/a))**(1/b)) == floor(n**(1/(a*b))).
+    """
     if n < 0:
         raise ValueError("even/unsupported root of a negative value")
     if r < 1:
         raise ValueError("root order must be a positive integer")
-    if n == 0:
-        return 0
-    if r == 1:
+    while r % 2 == 0:
+        n = math.isqrt(n)
+        r //= 2
+    if r == 1 or n == 0:
         return n
-    if r == 2:
-        return _isqrt(n)
     x = 1 << (n.bit_length() // r + 1)
     while True:
         y = ((r - 1) * x + n // x ** (r - 1)) // r
@@ -239,7 +219,7 @@ def fx_sqrt(x: BigFixed, ctx: PrecisionCtx) -> BigFixed:
         n = x.significand * 10 ** e
     else:
         n = _div_half_even(x.significand, 10 ** -e)
-    return _rescale(BigFixed(_isqrt(n), s), ctx.scale)
+    return _rescale(BigFixed(math.isqrt(n), s), ctx.scale)
 
 
 def fx_nth_root(x: BigFixed, r: int, ctx: PrecisionCtx) -> BigFixed:
@@ -266,15 +246,6 @@ def fx_pow_int(x: BigFixed, k: int, ctx: PrecisionCtx) -> BigFixed:
     if k < 0:
         raise ValueError("negative exponents are not supported")
     return _rescale(BigFixed(x.significand ** k, x.scale * k), ctx.scale)
-
-
-def fx_cmp(a: BigFixed, b: BigFixed) -> int:
-    """-1, 0 or +1 ordering consistent with the real values."""
-    if a < b:
-        return -1
-    if b < a:
-        return 1
-    return 0
 
 
 def fx_round(x: BigFixed, dp: int) -> BigFixed:

@@ -16,7 +16,6 @@ string. The selftest recomputes every table and checks:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -26,19 +25,18 @@ from .fixedpoint import (
     PrecisionCtx,
     fx_mul,
     fx_sqrt,
-    fx_to_string,
 )
 from .harness import (
     TABLE_PRESETS,
-    default_thread_count,
     reference_pi,
-    run,
+    run_table,
 )
 from .methods import (
     MethodId,
     euler_cf_convergent,
     make_state,
 )
+from .report import TableSpec
 
 
 @lru_cache(maxsize=1)
@@ -58,9 +56,49 @@ class SelftestReport:
         return "\n".join(self.lines) + "\n"
 
 
-def _check_cell(lines, where, computed, published, divergent, recomputed, reason):
+@dataclass(frozen=True)
+class Cell:
+    """One published cell and its audit flags."""
+
+    where: str
+    method: str
+    n: int
+    column: str  # "value" or "err"
+    published: str
+    divergent: bool
+    recomputed: str | None
+    reason: str | None
+
+
+def _cells(tid: int, table: dict):
+    """Every published cell of a golden table, in audit order.
+
+    A single-method table gives each row a "value" and an "err" string
+    with flags per column; a multi-method table gives each row a "values"
+    or "errs" dict with flags per method.
+    """
+    for row in table["rows"]:
+        n = row["n"]
+        for column in ("value", "err"):
+            if column in row:
+                yield Cell(
+                    f"table {tid} n={n} {column}", table["method"], n, column,
+                    row[column], row[f"{column}_divergent"],
+                    row[f"recomputed_{column}"], row["reason"],
+                )
+            for name, published in row.get(column + "s", {}).items():
+                flag = row["flags"].get(name, {})
+                yield Cell(
+                    f"table {tid} n={n} {name}", name, n, column, published,
+                    name in row["flags"], flag.get(f"recomputed_{column}"),
+                    flag.get("reason"),
+                )
+
+
+def _check_cell(lines: list, cell: Cell, computed: str) -> tuple[int, int]:
     """Append audit lines for one cell; return (divergent_seen, mismatch_seen)."""
-    if not divergent:
+    where, published, recomputed = cell.where, cell.published, cell.recomputed
+    if not cell.divergent:
         if computed == published:
             return 0, 0
         lines.append(
@@ -70,7 +108,7 @@ def _check_cell(lines, where, computed, published, divergent, recomputed, reason
     if computed == recomputed:
         lines.append(
             f"EXPECTED-DIVERGENT {where}: published={published}"
-            f" recomputed={recomputed} ({reason})"
+            f" recomputed={recomputed} ({cell.reason})"
         )
         return 1, 0
     lines.append(
@@ -78,67 +116,6 @@ def _check_cell(lines, where, computed, published, divergent, recomputed, reason
         f" recomputation {recomputed} (published={published})"
     )
     return 1, 1
-
-
-def _audit_single_method_table(tid: str, table: dict, records: list) -> tuple:
-    lines, divergent, bad = [], 0, 0
-    by_n = {r.n: r for r in records}
-    for row in table["rows"]:
-        rec = by_n[row["n"]]
-        d, m = _check_cell(
-            lines,
-            f"table {tid} n={row['n']} value",
-            rec.value_str(table["value_dp"]),
-            row["value"],
-            row["value_divergent"],
-            row["recomputed_value"],
-            row["reason"],
-        )
-        divergent += d
-        bad += m
-        d, m = _check_cell(
-            lines,
-            f"table {tid} n={row['n']} err",
-            fx_to_string(rec.abs_err_pct, table["err_dp"]),
-            row["err"],
-            row["err_divergent"],
-            row["recomputed_err"],
-            row["reason"],
-        )
-        divergent += d
-        bad += m
-    return lines, divergent, bad
-
-
-def _audit_zeta_tables(tables: dict, records: dict) -> tuple:
-    lines, divergent, bad = [], 0, 0
-    for tid, field, dp_key in (("6", "values", "value_dp"), ("7", "errs", "err_dp")):
-        table = tables[tid]
-        dp = table[dp_key]
-        for row in table["rows"]:
-            for name in table["methods"]:
-                rec = next(
-                    r for r in records[MethodId(name)] if r.n == row["n"]
-                )
-                if field == "values":
-                    computed = rec.value_str(dp)
-                else:
-                    computed = fx_to_string(rec.abs_err_pct, dp)
-                flag = row["flags"].get(name)
-                d, m = _check_cell(
-                    lines,
-                    f"table {tid} n={row['n']} {name}",
-                    computed,
-                    row[field][name],
-                    flag is not None,
-                    (flag or {}).get(
-                        "recomputed_value" if field == "values" else "recomputed_err"
-                    ),
-                    (flag or {}).get("reason"),
-                )
-                divergent += d
-                bad += m
-    return lines, divergent, bad
 
 
 def _quick_invariants() -> list:
@@ -198,50 +175,20 @@ def _quick_invariants() -> list:
     return failures
 
 
-def selftest(threads: int | None = None) -> SelftestReport:
+def selftest() -> SelftestReport:
     tables = load()
     lines = []
     divergent = 0
     bad = 0
 
-    workers = threads if threads else default_thread_count()
-    ctx_cache = {}
-
-    def run_preset(tid: int, method: MethodId):
-        preset = TABLE_PRESETS[tid]
-        key = (preset.working_dp, preset.guard_dp)
-        if key not in ctx_cache:
-            ctx_cache[key] = reference_pi(preset.ctx)
-        return run(method, preset.schedule, preset.ctx, ctx_cache[key])
-
-    # Warm the reference cache sequentially, then fan out per method.
-    for tid in (1, 4, 6):
-        preset = TABLE_PRESETS[tid]
-        key = (preset.working_dp, preset.guard_dp)
-        if key not in ctx_cache:
-            ctx_cache[key] = reference_pi(preset.ctx)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        single = {
-            tid: pool.submit(run_preset, tid, TABLE_PRESETS[tid].methods[0])
-            for tid in (1, 2, 3, 4, 5)
-        }
-        zeta = {
-            m: pool.submit(run_preset, 6, m) for m in TABLE_PRESETS[6].methods
-        }
-        single = {tid: f.result() for tid, f in single.items()}
-        zeta = {m: f.result() for m, f in zeta.items()}
-
-    for tid in ("1", "2", "3", "4", "5"):
-        ln, d, m = _audit_single_method_table(tid, tables[tid], single[int(tid)])
-        lines.extend(ln)
-        divergent += d
-        bad += m
-
-    ln, d, m = _audit_zeta_tables(tables, zeta)
-    lines.extend(ln)
-    divergent += d
-    bad += m
+    for tid in TABLE_PRESETS:
+        spec = TableSpec.for_table(tid)
+        records = {(r.method.value, r.n): r for r in run_table(tid)}
+        for cell in _cells(tid, tables[str(tid)]):
+            computed = spec.cell(records[cell.method, cell.n], cell.column)
+            d, m = _check_cell(lines, cell, computed)
+            divergent += d
+            bad += m
 
     failures = _quick_invariants()
     lines.extend(failures)

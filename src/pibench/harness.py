@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fixedpoint import (
     BigFixed,
@@ -21,6 +19,7 @@ from .fixedpoint import (
 from .methods import (
     ApproximantState,
     MethodId,
+    ZETA_METHODS,
     NewtonArcsineState,
     make_state,
 )
@@ -214,21 +213,11 @@ PAIRINGS = {
 DEFAULT_THRESHOLDS = ("1", "0.1", "0.01")
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get("PIBENCH_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n >= 1 else min(4, os.cpu_count() or 1)
-
-
 def compare(
     methods: list[MethodId],
     schedule: Schedule,
     ctx: PrecisionCtx,
     thresholds: tuple[BigFixed, ...] | None = None,
-    threads: int | None = None,
 ) -> tuple[ComparisonTable, CrossoverReport]:
     methods = tuple(MethodId(m) for m in methods)
     if len(methods) < 2:
@@ -244,10 +233,7 @@ def compare(
         raise ValueError("thresholds must be positive")
 
     ref = reference_pi(ctx)
-    workers = threads if threads else default_thread_count()
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {m: pool.submit(run, m, schedule, ctx, ref) for m in methods}
-        records = {m: f.result() for m, f in futures.items()}
+    records = {m: run(m, schedule, ctx, ref) for m in methods}
 
     crossings = {}
     for m in methods:
@@ -290,7 +276,14 @@ def time_to_digits(
     return TimeToDigits(False, state.n, time.perf_counter_ns() - start)
 
 
-# Published-table presets: schedules, methods and precision per table id.
+# The published tables: the one registry of their methods, schedules,
+# precision and printed columns. A column is (record field, header), where
+# "{method}" in the header is replaced by the method id.
+ERR_DP = 5  # decimal places of every printed error percentage
+
+_VALUE_AND_ERR = (("value", "{method}"), ("err", "Error (%)"))
+
+
 @dataclass(frozen=True)
 class TablePreset:
     table_id: int
@@ -299,7 +292,8 @@ class TablePreset:
     working_dp: int
     guard_dp: int
     value_dp: int
-    err_dp: int = 5
+    err_dp: int = ERR_DP
+    columns: tuple[tuple[str, str], ...] = _VALUE_AND_ERR
 
     @property
     def ctx(self) -> PrecisionCtx:
@@ -316,20 +310,17 @@ TABLE_PRESETS = {
     3: TablePreset(3, (MethodId.NEWTON_ARCSINE,), _SCHED_LARGE, 15, 17, 15),
     4: TablePreset(4, (MethodId.EULER_CF,), _SCHED_SMALL, 15, 12, 15),
     5: TablePreset(5, (MethodId.VIETE,), _SCHED_SMALL, 15, 12, 15),
-    6: TablePreset(
-        6,
-        (MethodId.ZETA2, MethodId.ZETA4, MethodId.ZETA6, MethodId.ZETA8),
-        _SCHED_MID,
-        14,
-        12,
-        14,
-    ),
-    7: TablePreset(
-        7,
-        (MethodId.ZETA2, MethodId.ZETA4, MethodId.ZETA6, MethodId.ZETA8),
-        _SCHED_MID,
-        14,
-        12,
-        14,
-    ),
+    6: TablePreset(6, ZETA_METHODS, _SCHED_MID, 14, 12, 14,
+                   columns=(("value", "{method}"),)),
+    7: TablePreset(7, ZETA_METHODS, _SCHED_MID, 14, 12, 14,
+                   columns=(("err", "{method}"),)),
 }
+
+
+def run_table(table_id: int) -> list[RunRecord]:
+    """Records of every method of a published table, in registry order."""
+    preset = TABLE_PRESETS[table_id]
+    ref = reference_pi(preset.ctx)
+    return [
+        r for m in preset.methods for r in run(m, preset.schedule, preset.ctx, ref)
+    ]

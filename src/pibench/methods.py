@@ -20,6 +20,7 @@ Index conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,7 +29,6 @@ from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
     _div_half_even,
-    _isqrt,
     fx_nth_root,
 )
 
@@ -205,10 +205,10 @@ class VieteState(ApproximantState):
 def _viete_value(n: int, ctx: PrecisionCtx) -> BigFixed:
     extra = -(-61 * n // 100) + 10  # ceil(0.61 n) + 10 cancellation guard
     e = 10 ** (ctx.scale + extra)
-    r = _isqrt(2 * e * e)  # r_1 = sqrt(2)
+    r = math.isqrt(2 * e * e)  # r_1 = sqrt(2)
     for _ in range(n - 1):
-        r = _isqrt((2 * e + r) * e)  # r_{m+1} = sqrt(2 + r_m)
-    root = _isqrt((2 * e - r) * e)  # sqrt(2 - r_{n-1})
+        r = math.isqrt((2 * e + r) * e)  # r_{m+1} = sqrt(2 + r_m)
+    root = math.isqrt((2 * e - r) * e)  # sqrt(2 - r_{n-1})
     return BigFixed(_div_half_even(2 ** (n + 1) * root, 10 ** extra), ctx.scale)
 
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fixedpoint import fx_parse, fx_to_string
-from .harness import RunRecord
+from .harness import ERR_DP, TABLE_PRESETS, RunRecord
 from .methods import MethodId
 
 CSV_HEADER = "method,n,value,signed_err_pct,abs_err_pct,digits_correct,elapsed_ns"
-_ERR_DP = 5
+
+# Generic layout: a value and an error column per method.
+_GENERIC_COLUMNS = (("value", "{method}"), ("err", "{method} err (%)"))
 
 
 class ReportShapeError(ValueError):
@@ -20,20 +22,27 @@ class ReportShapeError(ValueError):
 class TableSpec:
     """Layout parameters for a rendered table.
 
-    table_id 1..7 selects a published-reference layout (1-5 single
-    method with an error column, 6 multi-method values, 7 multi-method
-    errors); None is a generic layout for arbitrary method sets.
+    A table_id in TABLE_PRESETS selects that published table's methods and
+    columns; any other id, or None, is a generic layout for arbitrary
+    method sets.
     """
 
     table_id: int | None
     value_dp: int
-    err_dp: int = _ERR_DP
+    err_dp: int = ERR_DP
 
     @classmethod
     def for_table(cls, table_id: int) -> "TableSpec":
-        if table_id not in range(1, 8):
+        preset = TABLE_PRESETS.get(table_id)
+        if preset is None:
             raise ReportShapeError(f"no published table {table_id}")
-        return cls(table_id, 14 if table_id in (6, 7) else 15)
+        return cls(table_id, preset.value_dp, preset.err_dp)
+
+    def cell(self, record: RunRecord, column: str) -> str:
+        """One printed cell: the record's value or its abs error."""
+        if column == "value":
+            return record.value_str(self.value_dp)
+        return fx_to_string(record.abs_err_pct, self.err_dp)
 
 
 def _group(records: list[RunRecord]) -> dict[MethodId, list[RunRecord]]:
@@ -48,59 +57,28 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
     if not by_method:
         raise ReportShapeError("no records to render")
 
-    tid = spec.table_id
-    if tid in (1, 2, 3, 4, 5):
-        if len(by_method) != 1:
-            raise ReportShapeError(f"table {tid} takes exactly one method")
-        (method, recs), = by_method.items()
-        lines = [f"| n | {method.value} | Error (%) |", "| --- | --- | --- |"]
-        for r in recs:
-            lines.append(
-                f"| {r.n} | {r.value_str(spec.value_dp)} |"
-                f" {fx_to_string(r.abs_err_pct, spec.err_dp)} |"
-            )
-        return "\n".join(lines) + "\n"
-
-    if tid in (6, 7):
-        methods = [MethodId.ZETA2, MethodId.ZETA4, MethodId.ZETA6, MethodId.ZETA8]
-        if sorted(by_method) != sorted(methods):
-            raise ReportShapeError(f"table {tid} takes the four zeta methods")
-        ns = [r.n for r in by_method[methods[0]]]
-        for m in methods[1:]:
-            if [r.n for r in by_method[m]] != ns:
-                raise ReportShapeError("method schedules are not aligned")
-        head = "| n | " + " | ".join(m.value for m in methods) + " |"
-        lines = [head, "| --- |" + " --- |" * len(methods)]
-        for i, n in enumerate(ns):
-            if tid == 6:
-                cells = [by_method[m][i].value_str(spec.value_dp) for m in methods]
-            else:
-                cells = [
-                    fx_to_string(by_method[m][i].abs_err_pct, spec.err_dp)
-                    for m in methods
-                ]
-            lines.append(f"| {n} | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-
-    # Generic layout: one value and one error column per method.
-    methods = sorted(by_method, key=lambda m: m.value)
+    preset = TABLE_PRESETS.get(spec.table_id)
+    if preset is None:
+        methods = sorted(by_method, key=lambda m: m.value)
+        columns = _GENERIC_COLUMNS
+    else:
+        methods, columns = preset.methods, preset.columns
+        if set(by_method) != set(methods):
+            names = ", ".join(m.value for m in methods)
+            raise ReportShapeError(f"table {spec.table_id} takes {names}")
     ns = [r.n for r in by_method[methods[0]]]
     for m in methods[1:]:
         if [r.n for r in by_method[m]] != ns:
             raise ReportShapeError("method schedules are not aligned")
-    head = "| n |"
-    for m in methods:
-        head += f" {m.value} | {m.value} err (%) |"
-    lines = [head, "| --- |" + " --- | --- |" * len(methods)]
+
+    pairs = [(m, column, head) for m in methods for column, head in columns]
+    lines = [
+        "| n |" + "".join(f" {head.format(method=m.value)} |" for m, _, head in pairs),
+        "| --- |" + " --- |" * len(pairs),
+    ]
     for i, n in enumerate(ns):
-        row = f"| {n} |"
-        for m in methods:
-            r = by_method[m][i]
-            row += (
-                f" {r.value_str(spec.value_dp)} |"
-                f" {fx_to_string(r.abs_err_pct, spec.err_dp)} |"
-            )
-        lines.append(row)
+        cells = "".join(f" {spec.cell(by_method[m][i], c)} |" for m, c, _ in pairs)
+        lines.append(f"| {n} |{cells}")
     return "\n".join(lines) + "\n"
 
 
@@ -109,8 +87,8 @@ def render_csv(records: list[RunRecord]) -> str:
     for r in records:
         lines.append(
             f"{r.method.value},{r.n},{r.value_str(r.working_dp)},"
-            f"{fx_to_string(r.signed_err_pct, _ERR_DP)},"
-            f"{fx_to_string(r.abs_err_pct, _ERR_DP)},"
+            f"{fx_to_string(r.signed_err_pct, ERR_DP)},"
+            f"{fx_to_string(r.abs_err_pct, ERR_DP)},"
             f"{r.digits_correct},{r.elapsed_ns}"
         )
     return "\n".join(lines) + "\n"
@@ -148,8 +126,8 @@ def render_plot_data(records: list[RunRecord]) -> str:
     for method, recs in _group(records).items():
         for series, fmt in (
             ("value", lambda r: r.value_str(r.working_dp)),
-            ("abs_err_pct", lambda r: fx_to_string(r.abs_err_pct, _ERR_DP)),
-            ("signed_err_pct", lambda r: fx_to_string(r.signed_err_pct, _ERR_DP)),
+            ("abs_err_pct", lambda r: fx_to_string(r.abs_err_pct, ERR_DP)),
+            ("signed_err_pct", lambda r: fx_to_string(r.signed_err_pct, ERR_DP)),
         ):
             lines = [f"# {method.value} {series}"]
             lines.extend(f"{r.n} {fmt(r)}" for r in recs)

@@ -35,8 +35,9 @@ def mp_string(expr_fn, dp, dps=80):
         frac = scaled - i
         if frac > 0.5 or (frac == 0.5 and i % 2 == 1):
             i += 1
-    whole, part = divmod(i, 10 ** dp)
-    return f"{whole}.{part:0{dp}d}"
+    whole, part = divmod(abs(i), 10 ** dp)
+    body = f"{whole}.{part:0{dp}d}" if dp else str(whole)
+    return "-" + body if i < 0 else body
 
 
 # Exact-value oracles for the table audits; call them inside mp_string so

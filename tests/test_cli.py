@@ -125,23 +125,19 @@ class TestSelftestCommand:
     def test_selftest_quick_paths(self, monkeypatch, capsys):
         # Full selftest sweeps three tables to n=10^7; keep the CLI test
         # fast by shrinking the large schedule.
-        from pibench import harness
-        from pibench.harness import Schedule, TablePreset
+        from dataclasses import replace
+
         import pibench.goldens as goldens
+        from pibench.harness import TABLE_PRESETS, Schedule
 
         goldens.load.cache_clear()
         data = goldens.load()
         small = Schedule(tuple(range(5, 101, 5)))
-        presets = dict(harness.TABLE_PRESETS)
-        trimmed = {}
         for tid in (1, 2, 3):
-            p = presets[tid]
-            trimmed[str(tid)] = [r for r in data[str(tid)]["rows"] if r["n"] <= 100]
-            presets[tid] = TablePreset(tid, p.methods, small, 15, 12, 15)
-        monkeypatch.setattr(harness, "TABLE_PRESETS", presets)
-        monkeypatch.setattr(goldens, "TABLE_PRESETS", presets)
-        for tid, rows in trimmed.items():
-            monkeypatch.setitem(data[tid], "rows", rows)
+            preset = replace(TABLE_PRESETS[tid], schedule=small, guard_dp=12)
+            monkeypatch.setitem(TABLE_PRESETS, tid, preset)
+            rows = [r for r in data[str(tid)]["rows"] if r["n"] <= 100]
+            monkeypatch.setitem(data[str(tid)], "rows", rows)
 
         report = goldens.selftest()
         goldens.load.cache_clear()
@@ -149,3 +145,18 @@ class TestSelftestCommand:
         assert report.expected_divergent >= 4
         lines = report.text()
         assert "EXPECTED-DIVERGENT" in lines
+
+    def test_mismatch_exit_3(self, monkeypatch, capsys):
+        from pibench import cli
+        from pibench.goldens import SelftestReport
+
+        lines = ["MISMATCH table 1 n=5 value: computed=3.0 published=3.1",
+                 "selftest: 0 expected-divergent cells, 1 failures"]
+        report = SelftestReport(lines, False, 0, 1)
+        monkeypatch.setattr(cli, "selftest", lambda: report)
+        assert main(["selftest"]) == cli.EXIT_MISMATCH == 3
+        assert capsys.readouterr().out == report.text()
+
+    def test_threads_option_is_gone(self, capsys):
+        assert main(["selftest", "--threads", "2"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

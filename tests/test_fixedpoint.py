@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +7,8 @@ from pibench.fixedpoint import (
     PrecisionCtx,
     _div_half_even,
     _iroot,
-    _isqrt,
     default_guard,
     fx_add,
-    fx_cmp,
     fx_div,
     fx_from_ratio,
     fx_mul,
@@ -132,16 +128,8 @@ class TestHalfEven:
 
 
 class TestRoots:
-    def test_isqrt_matches_stdlib(self):
-        for n in [0, 1, 2, 3, 4, 99, 10 ** 40, 10 ** 40 + 12345, 2 ** 333]:
-            assert _isqrt(n) == math.isqrt(n)
-
-    @given(st.integers(0, 10 ** 60))
-    @settings(max_examples=300)
-    def test_isqrt_random(self, n):
-        assert _isqrt(n) == math.isqrt(n)
-
-    @given(st.integers(0, 10 ** 48), st.sampled_from([2, 3, 4, 5, 6, 7, 8]))
+    # Up to 10**1400 covers the zeta8 radicands at 150 dp (8 * 164 digits).
+    @given(st.integers(0, 10 ** 1400), st.sampled_from([2, 3, 4, 5, 6, 7, 8]))
     @settings(max_examples=300)
     def test_iroot_floor_property(self, n, r):
         x = _iroot(n, r)
@@ -235,7 +223,7 @@ class TestStrings:
 
 class TestOrdering:
     def test_cmp_zero_negzero(self):
-        assert fx_cmp(BigFixed(0), -BigFixed(0)) == 0
+        assert BigFixed(0) == -BigFixed(0)
 
     def test_cross_scale_equality(self):
         assert fx_parse("1.50") == fx_parse("1.5")
@@ -244,8 +232,8 @@ class TestOrdering:
     def test_total_order(self):
         xs = [fx_parse(v) for v in ("-2", "-0.5", "0", "0.25", "1.0", "3")]
         assert sorted(xs) == xs
-        assert fx_cmp(xs[0], xs[1]) == -1
-        assert fx_cmp(xs[3], xs[2]) == 1
+        assert xs[0] < xs[1]
+        assert xs[3] > xs[2]
 
 
 class TestExactFitBitExact:

@@ -1,6 +1,7 @@
 import pytest
 
 from pibench.fixedpoint import BigFixed, PrecisionCtx, fx_parse, fx_to_string
+from pibench.goldens import load as load_goldens
 from pibench.harness import (
     PAIRINGS,
     TABLE_PRESETS,
@@ -227,3 +228,17 @@ class TestPresets:
         for tid in (6, 7):
             assert TABLE_PRESETS[tid].working_dp == 14
         assert all(TABLE_PRESETS[t].err_dp == 5 for t in TABLE_PRESETS)
+
+    def test_goldens_agree_with_registry(self):
+        tables = load_goldens()
+        assert sorted(tables) == [str(t) for t in TABLE_PRESETS]
+        for tid, preset in TABLE_PRESETS.items():
+            table = tables[str(tid)]
+            names = [table["method"]] if "method" in table else table["methods"]
+            assert names == [m.value for m in preset.methods], tid
+            for key in ("value_dp", "err_dp"):
+                if key in table:
+                    assert table[key] == getattr(preset, key), (tid, key)
+            printed = [c for c, _ in preset.columns]
+            for row in table["rows"]:
+                assert [c for c in ("value", "err") if c in row or c + "s" in row] == printed

@@ -1,6 +1,6 @@
 import pytest
 
-from pibench.harness import Schedule, run
+from pibench.harness import TABLE_PRESETS, Schedule, run
 from pibench.methods import MethodId
 from pibench.report import (
     CSV_HEADER,
@@ -55,6 +55,13 @@ class TestMarkdown:
     def test_zeta_table_rejects_single(self, wallis_records):
         with pytest.raises(ReportShapeError):
             render_markdown(wallis_records, TableSpec.for_table(6))
+
+    def test_for_table_reads_registry(self):
+        for tid, preset in TABLE_PRESETS.items():
+            spec = TableSpec.for_table(tid)
+            assert (spec.table_id, spec.value_dp, spec.err_dp) == (
+                tid, preset.value_dp, preset.err_dp,
+            )
 
     def test_unknown_table_id(self):
         with pytest.raises(ReportShapeError):
