@@ -2,10 +2,11 @@
 
 A value is a pair (significand, scale) meaning significand * 10**-scale.
 Every context-aware operation returns a result rescaled to the context's
-scale (working digits plus guard digits), rounded half-even. Roots are
-computed with math.isqrt (and integer Newton iteration for odd orders)
-and return the floor of the exact root at the target scale, which keeps
-them within one unit in the last place.
+scale (working digits plus guard digits), rounded half-even. fx_sqrt
+rounds to the nearest unit; fx_nth_root floors the exact root two digits
+below the target scale (math.isqrt for even orders, integer Newton
+iteration for an odd remainder) and rounds that half-even. Both stay
+within one unit in the last place.
 
 Values are immutable; all functions are pure.
 """
@@ -26,6 +27,12 @@ def _div_half_even(num: int, den: int) -> int:
     if twice > den or (twice == den and q & 1):
         q += 1
     return q
+
+
+def _isqrt_nearest(n: int) -> int:
+    """Nearest integer to sqrt(n), n >= 0: floor(2 sqrt(n)) halved, rounded
+    up. No integer n has sqrt(n) = k + 1/2, so there is no tie."""
+    return (math.isqrt(4 * n) + 1) // 2
 
 
 def _iroot(n: int, r: int) -> int:
@@ -147,15 +154,8 @@ class BigFixed:
     def sign(self) -> int:
         return (self.significand > 0) - (self.significand < 0)
 
-    def is_zero(self) -> bool:
-        return self.significand == 0
-
     def __repr__(self) -> str:  # debugging aid, not the wire format
         return f"BigFixed({fx_to_string(self, self.scale)})"
-
-
-ZERO = BigFixed(0)
-ONE = BigFixed(1)
 
 
 def _rescale(x: BigFixed, scale: int) -> BigFixed:
@@ -164,10 +164,6 @@ def _rescale(x: BigFixed, scale: int) -> BigFixed:
     if scale > x.scale:
         return BigFixed(x.significand * 10 ** (scale - x.scale), scale)
     return BigFixed(_div_half_even(x.significand, 10 ** (x.scale - scale)), scale)
-
-
-def fx_from_int(i: int) -> BigFixed:
-    return BigFixed(i, 0)
 
 
 def fx_from_ratio(p: int, q: int, ctx: PrecisionCtx) -> BigFixed:
@@ -209,21 +205,17 @@ def fx_div(a: BigFixed, b: BigFixed, ctx: PrecisionCtx) -> BigFixed:
 
 
 def fx_sqrt(x: BigFixed, ctx: PrecisionCtx) -> BigFixed:
-    """sqrt(x) at the context scale, within 1 ulp (floored two digits
-    below the target scale, then rounded half-even)."""
+    """sqrt(x) rounded to nearest at the context scale: exactly while
+    x.scale <= 2 * ctx.scale; a finer x is rounded first, within 1 ulp."""
     if x.significand < 0:
         raise ValueError("square root of a negative value")
-    s = ctx.scale + 2
-    e = 2 * s - x.scale
-    if e >= 0:
-        n = x.significand * 10 ** e
-    else:
-        n = _div_half_even(x.significand, 10 ** -e)
-    return _rescale(BigFixed(math.isqrt(n), s), ctx.scale)
+    n = _rescale(x, 2 * ctx.scale).significand
+    return BigFixed(_isqrt_nearest(n), ctx.scale)
 
 
 def fx_nth_root(x: BigFixed, r: int, ctx: PrecisionCtx) -> BigFixed:
-    """Floor of x**(1/r) at the context scale."""
+    """x**(1/r) at the context scale, within 1 ulp: the floor of the exact
+    root two digits below the target scale, rounded half-even."""
     if r < 1:
         raise ValueError("root order must be a positive integer")
     if x.significand < 0:
@@ -233,11 +225,7 @@ def fx_nth_root(x: BigFixed, r: int, ctx: PrecisionCtx) -> BigFixed:
     if r == 1:
         return _rescale(x, ctx.scale)
     s = ctx.scale + 2
-    e = r * s - x.scale
-    if e >= 0:
-        n = x.significand * 10 ** e
-    else:
-        n = _div_half_even(x.significand, 10 ** -e)
+    n = _rescale(x, r * s).significand
     return _rescale(BigFixed(_iroot(n, r), s), ctx.scale)
 
 

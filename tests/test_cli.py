@@ -97,7 +97,7 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "# crossover" in out
 
-    def test_table_1_has_25_rows(self, capsys):
+    def test_table_4_has_28_rows(self, capsys):
         assert main(["table", "--id", "4"]) == 0
         out = capsys.readouterr().out
         data_rows = [ln for ln in out.splitlines() if ln.startswith("| ") and

@@ -141,6 +141,13 @@ class TestRoots:
         radicand = fx_parse("0.585786437626905")
         assert s(fx_sqrt(radicand, CTX15), 15) == "0.765366864730180"
 
+    def test_sqrt_rounds_to_nearest(self):
+        # Each root lies just above a half unit (sqrt(0.431) = 0.65650...),
+        # where a floor two digits below the scale rounded again lands low.
+        ctx = PrecisionCtx(3, 0)
+        for x, root in (("0.431", "0.657"), ("0.793", "0.891"), ("0.938", "0.969")):
+            assert s(fx_sqrt(fx_parse(x), ctx), 3) == root
+
     def test_sqrt_negative(self):
         with pytest.raises(ValueError):
             fx_sqrt(BigFixed(-1), CTX10)

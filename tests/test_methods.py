@@ -20,7 +20,7 @@ from pibench.methods import (
     wallis,
     zeta_pi,
 )
-from conftest import mp_string
+from conftest import mp_string, viete_mp
 
 CTX = PrecisionCtx(15, 12)
 
@@ -142,20 +142,38 @@ class TestViete:
         assert s15(viete(30, CTX)) == "3.141592653589793"
 
     def test_against_mpmath(self):
-        def oracle(n):
-            def f():
-                r = mpmath.sqrt(2)
-                for _ in range(n - 1):
-                    r = mpmath.sqrt(2 + r)
-                return 2 ** (n + 1) * mpmath.sqrt(2 - r)
-            return f
-
         for n in (1, 2, 3, 10, 20, 40):
-            assert s15(viete(n, CTX)) == mp_string(oracle(n), 15, dps=60 + n)
+            oracle = mp_string(lambda: viete_mp(n), 15, dps=60 + n)
+            assert s15(viete(n, CTX)) == oracle
 
     def test_deep_n_needs_only_ctx(self):
-        # n=80 cancels ~49 leading digits; the internal guard handles it.
+        # n=80 is past step 47, where r rounds to exactly 2 at scale 27 and
+        # D stops moving; no step subtracts, so the context's digits suffice.
         assert s15(viete(80, CTX)) == "3.141592653589793"
+
+    @pytest.mark.parametrize("ctx, checkpoints", [
+        (CTX, (*range(1, 61), 100, 200, 1000, 5000, 20000)),
+        (PrecisionCtx(150, 13), range(1, 451)),
+    ])
+    def test_ulp_bound(self, ctx, checkpoints):
+        # The VieteState docstring's bound, (1/2 + (pi/2)(M/2 + 1/32)) ulps
+        # with M = ceil(log_4(pi^2 10^scale)), against the closed form
+        # viete(n) = 2^(n+2) sin(pi / 2^(n+2)).
+        m = math.ceil(math.log(math.pi ** 2 * 10 ** ctx.scale, 4))
+        bound = 0.5 + math.pi / 2 * (m / 2 + 1 / 32)
+        state = make_state(MethodId.VIETE, ctx)
+        with mpmath.workdps(ctx.scale + 20):
+            for n in checkpoints:
+                while state.n < n:
+                    state.step()
+                x = mpmath.mpf(2) ** (n + 2)
+                exact = x * mpmath.sin(mpmath.pi / x) * 10 ** ctx.scale
+                err = abs(state.value().significand - exact)
+                assert err <= bound, f"n={n}: {mpmath.nstr(err, 5)} ulp > {bound:.1f}"
+
+    def test_stationary_once_r_is_two(self):
+        a, b = viete(200, CTX), viete(20000, CTX)
+        assert (a.significand, a.scale) == (b.significand, b.scale)
 
 
 class TestZeta:

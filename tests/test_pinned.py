@@ -1,0 +1,33 @@
+"""CLI outputs against the digests in perfbench/pinned.json (read only).
+
+A kernel change that moves a reported digit changes one of these digests.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from pibench.cli import main
+
+PINNED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json").read_text()
+)
+
+
+def _stdout_sha256(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_table_digest(capsys, k):
+    assert _stdout_sha256(capsys, ["table", "--id", str(k)]) == PINNED["tables"][str(k)]
+
+
+def test_hiprec_compare_digest(capsys):
+    # The benchmark's hiprec-dense workload at stop 400: 150-digit Viète values.
+    argv = ["compare", "--methods", "viete,eulercf,zeta4,zeta8",
+            "--schedule", "1:400:1", "--dp", "150", "--format", "md"]
+    assert _stdout_sha256(capsys, argv) == PINNED["hiprec-dense"]["400"]
