@@ -205,12 +205,18 @@ def fx_div(a: BigFixed, b: BigFixed, ctx: PrecisionCtx) -> BigFixed:
 
 
 def fx_sqrt(x: BigFixed, ctx: PrecisionCtx) -> BigFixed:
-    """sqrt(x) rounded to nearest at the context scale: exactly while
-    x.scale <= 2 * ctx.scale; a finer x is rounded first, within 1 ulp."""
+    """sqrt(x) rounded to nearest at the context scale, ties to even (a tie
+    needs x.scale > 2 * ctx.scale). isqrt(floor(4y)) = floor(2 sqrt(y)) for
+    real y = x * 10^(2 scale), so the finer digits of x cost no accuracy."""
     if x.significand < 0:
         raise ValueError("square root of a negative value")
-    n = _rescale(x, 2 * ctx.scale).significand
-    return BigFixed(_isqrt_nearest(n), ctx.scale)
+    e = 2 * ctx.scale - x.scale
+    m, rem = divmod(4 * x.significand * 10 ** max(e, 0), 10 ** max(-e, 0))
+    root = math.isqrt(m)
+    q = (root + 1) // 2
+    if root & q & 1 and not rem and root * root == m:  # sqrt(y) = q - 1/2
+        q -= 1
+    return BigFixed(q, ctx.scale)
 
 
 def fx_nth_root(x: BigFixed, r: int, ctx: PrecisionCtx) -> BigFixed:

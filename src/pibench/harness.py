@@ -166,8 +166,7 @@ def run(
     records = []
     start = time.perf_counter_ns()
     for target in schedule:
-        while state.n < target:
-            state.step()
+        state.advance_to(target)
         value = state.value()
         elapsed = time.perf_counter_ns() - start
         signed, absolute = pct_error(value, ref)

@@ -16,6 +16,14 @@ Index conventions:
   viete    n >= 1  2^(n+1) * sqrt(2 - r_n) over nested radicals
                    r_0 = 0, r_{m+1} = sqrt(2 + r_m), so r_1 = sqrt(2)
   zeta s   n >= 1  (C_s * sum_{k=1..n} 1/k^s)^(1/s)
+
+Each state has one kernel, advance_to(target), bit-identical to that many
+single half-even-rounded steps (step() is advance_to(n + 1); target <= n is
+a no-op). Newton, zeta and Viete skip the steps that change no register:
+Newton's once its term t rounds to 0 (n = 48 at scale 32), zeta's from the
+first k with k^s >= 2 * 10^scale, Viete's once r is exactly 2 (D = 4D/4).
+Wallis and Leibniz divide by the odd 4k^2 - 1 and 2k + 1, where half-even
+rounding meets no tie, so round(a/d) = (a + (d - 1)//2) // d.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
     _div_half_even,
+    _iroot,
     _isqrt_nearest,
     fx_nth_root,
 )
@@ -68,7 +77,7 @@ ZETA_METHODS = tuple(ZETA_PARAMS)
 
 
 class ApproximantState:
-    """Base class: n plus method-specific integer registers."""
+    """n plus integer registers; subclasses define advance_to(target)."""
 
     method: MethodId
     min_index = 1  # smallest n at which value() is defined
@@ -78,7 +87,7 @@ class ApproximantState:
         self.n = 0
 
     def step(self) -> None:
-        raise NotImplementedError
+        self.advance_to(self.n + 1)
 
     def value(self) -> BigFixed:
         raise NotImplementedError
@@ -94,10 +103,14 @@ class WallisState(ApproximantState):
         super().__init__(ctx)
         self._acc = 2 * 10 ** ctx.scale
 
-    def step(self) -> None:
-        self.n += 1
-        f = 4 * self.n * self.n  # (2n)^2; factor is f/(f-1) since
-        self._acc = _div_half_even(self._acc * f, f - 1)  # (2n-1)(2n+1) = f-1
+    def advance_to(self, target: int) -> None:
+        # The factor is f/(f-1) with f = (2k)^2, since (2k-1)(2k+1) = f-1,
+        # and round(acc f/(f-1)) = acc + round(acc/(f-1)).
+        acc, k = self._acc, self.n
+        for k in range(k + 1, target + 1):
+            d = 4 * k * k - 1
+            acc += (acc + (d >> 1)) // d
+        self._acc, self.n = acc, k
 
     def value(self) -> BigFixed:
         if self.n < 1:
@@ -113,12 +126,15 @@ class LeibnizState(ApproximantState):
         super().__init__(ctx)
         self._four = 4 * 10 ** ctx.scale
         self._acc = self._four  # k=0 term, exact
-        self._sign = -1
 
-    def step(self) -> None:
-        self.n += 1
-        self._acc += _div_half_even(self._sign * self._four, 2 * self.n + 1)
-        self._sign = -self._sign
+    def advance_to(self, target: int) -> None:
+        acc, four, k = self._acc, self._four, self.n
+        for k in range(k + 1, target + 1):
+            if k & 1:
+                acc -= (four + k) // (2 * k + 1)
+            else:
+                acc += (four + k) // (2 * k + 1)
+        self._acc, self.n = acc, k
 
     def value(self) -> BigFixed:
         return BigFixed(self._acc, self.ctx.scale)
@@ -133,13 +149,13 @@ class NewtonArcsineState(ApproximantState):
         self._t = 10 ** ctx.scale // 2  # t_0 = 1/2, exact
         self._acc = self._t
 
-    def step(self) -> None:
-        k = self.n  # advancing t_k -> t_{k+1}
-        self._t = _div_half_even(
-            self._t * (2 * k + 1) ** 2, 8 * (k + 1) * (2 * k + 3)
-        )
-        self._acc += self._t
-        self.n += 1
+    def advance_to(self, target: int) -> None:
+        t, acc, k = self._t, self._acc, self.n
+        while k < target and t:  # t_k -> t_{k+1}; t = 0 stays 0
+            t = _div_half_even(t * (2 * k + 1) ** 2, 8 * (k + 1) * (2 * k + 3))
+            acc += t
+            k += 1
+        self._t, self._acc, self.n = t, acc, max(k, target)
 
     def value(self) -> BigFixed:
         return BigFixed(6 * self._acc, self.ctx.scale)
@@ -160,11 +176,13 @@ class EulerCFState(ApproximantState):
         self._a_prev, self._a = 1, 1  # A_{-1}, A_0
         self._b_prev, self._b = 0, 1  # B_{-1}, B_0
 
-    def step(self) -> None:
-        self.n += 1
-        a_k = (2 * self.n - 1) ** 2
-        self._a_prev, self._a = self._a, 2 * self._a + a_k * self._a_prev
-        self._b_prev, self._b = self._b, 2 * self._b + a_k * self._b_prev
+    def advance_to(self, target: int) -> None:
+        k = self.n
+        for k in range(k + 1, target + 1):
+            a_k = (2 * k - 1) ** 2
+            self._a_prev, self._a = self._a, 2 * self._a + a_k * self._a_prev
+            self._b_prev, self._b = self._b, 2 * self._b + a_k * self._b_prev
+        self.n = k
 
     def value(self) -> BigFixed:
         if self.n < 1:
@@ -212,11 +230,14 @@ class VieteState(ApproximantState):
         self._one = 10 ** ctx.scale
         self._r, self._d = 0, 2 * self._one  # r_0, D_0
 
-    def step(self) -> None:
-        self.n += 1
-        two = 2 * self._one
-        self._r = _isqrt_nearest((two + self._r) * self._one)
-        self._d = _div_half_even(4 * self._d * self._one, two + self._r)
+    def advance_to(self, target: int) -> None:
+        one, r, d, k = self._one, self._r, self._d, self.n
+        two = 2 * one
+        while k < target and r != two:  # r = 2 stays 2, and D = 4D/4
+            r = _isqrt_nearest((two + r) * one)
+            d = _div_half_even(4 * d * one, two + r)
+            k += 1
+        self._r, self._d, self.n = r, d, max(k, target)
 
     def value(self) -> BigFixed:
         if self.n < 1:
@@ -232,10 +253,13 @@ class ZetaState(ApproximantState):
         self.params = params
         self._one = 10 ** ctx.scale
         self._acc = 0  # sum_{k=1..n} 1/k^s
+        self._last = _iroot(2 * self._one - 1, params.s)  # last nonzero term
 
-    def step(self) -> None:
-        self.n += 1
-        self._acc += _div_half_even(self._one, self.n ** self.params.s)
+    def advance_to(self, target: int) -> None:
+        one, s, acc = self._one, self.params.s, self._acc
+        for k in range(self.n + 1, min(target, self._last) + 1):
+            acc += _div_half_even(one, k ** s)
+        self._acc, self.n = acc, max(self.n, target)
 
     def value(self) -> BigFixed:
         if self.n < 1:
@@ -273,8 +297,7 @@ def _run_to(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
     state = make_state(method, ctx)
     if n < state.min_index:
         raise ValueError(f"{method.value} is defined for n >= {state.min_index}")
-    for _ in range(n):
-        state.step()
+    state.advance_to(n)
     return state.value()
 
 
@@ -297,8 +320,7 @@ def euler_cf(d: int, ctx: PrecisionCtx) -> BigFixed:
 def euler_cf_convergent(d: int) -> Fraction:
     """Exact rational convergent at depth d (oracle for equivalence tests)."""
     state = EulerCFState(PrecisionCtx(1, 0))
-    for _ in range(d):
-        state.step()
+    state.advance_to(d)
     return state.convergent()
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,15 @@ class TestRoots:
         ctx = PrecisionCtx(3, 0)
         for x, root in (("0.431", "0.657"), ("0.793", "0.891"), ("0.938", "0.969")):
             assert s(fx_sqrt(fx_parse(x), ctx), 3) == root
+        # A radicand finer than twice the scale is not rounded first:
+        # sqrt(0.003) = 0.0548 (0.0030 rounded to 0.00 gave 0.0).
+        assert s(fx_sqrt(fx_parse("0.0030"), PrecisionCtx(1, 0)), 1) == "0.1"
+
+    def test_sqrt_ties_to_even(self):
+        # Only a radicand finer than twice the scale has a root at k + 1/2.
+        ctx = PrecisionCtx(1, 0)
+        for x, root in (("0.0025", "0.0"), ("0.0225", "0.2"), ("0.1225", "0.4")):
+            assert s(fx_sqrt(fx_parse(x), ctx), 1) == root
 
     def test_sqrt_negative(self):
         with pytest.raises(ValueError):
@@ -182,6 +193,19 @@ class TestUlpProperties:
         assert lo * lo <= scaled_x <= hi * hi
         if sig > 0:
             assert lo * lo < scaled_x
+
+    @given(st.integers(0, 10 ** 30), st.integers(0, 30), st.integers(1, 8))
+    @settings(max_examples=500)
+    def test_sqrt_nearest_for_any_radicand_scale(self, sig, x_scale, dp):
+        # r is the nearest unit to sqrt(y), y = x * 10^(2 dp), ties to even:
+        # max(2r - 1, 0)^2 <= 4y <= (2r + 1)^2, exactly in rationals.
+        r = fx_sqrt(BigFixed(sig, x_scale), PrecisionCtx(dp, 0))
+        q = r.significand * 10 ** (dp - r.scale)
+        four_y = Fraction(4 * sig * 10 ** (2 * dp), 10 ** x_scale)
+        lo, hi = max(2 * q - 1, 0) ** 2, (2 * q + 1) ** 2
+        assert lo <= four_y <= hi
+        if four_y in (lo, hi):
+            assert q % 2 == 0
 
     @given(st.integers(10 ** 10, 10 * 10 ** 10), st.sampled_from([2, 4, 6, 8]))
     @settings(max_examples=300)

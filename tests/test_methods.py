@@ -1,10 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from pibench.fixedpoint import BigFixed, PrecisionCtx, fx_sub, fx_to_string
+from pibench.fixedpoint import (
+    BigFixed,
+    PrecisionCtx,
+    _div_half_even,
+    _isqrt_nearest,
+    fx_sub,
+    fx_to_string,
+)
 from pibench.methods import (
     MethodId,
     ZETA_PARAMS,
@@ -304,3 +312,141 @@ class TestMonotonicity:
             state.step()
             above = state.value() > ref.value
             assert above == (n % 2 == 0), f"n={n}"
+
+
+def _reference_step(state):
+    """One step as each method took it before advance_to existed: every
+    division rounded by _div_half_even, no step skipped. The oracle for the
+    kernels."""
+    state.n += 1
+    n, m = state.n, state.method
+    if m is MethodId.WALLIS:
+        f = 4 * n * n
+        state._acc = _div_half_even(state._acc * f, f - 1)
+    elif m is MethodId.LEIBNIZ:
+        sign = -1 if n % 2 else 1
+        state._acc += _div_half_even(sign * state._four, 2 * n + 1)
+    elif m is MethodId.NEWTON_ARCSINE:
+        k = n - 1
+        state._t = _div_half_even(state._t * (2 * k + 1) ** 2, 8 * (k + 1) * (2 * k + 3))
+        state._acc += state._t
+    elif m is MethodId.EULER_CF:
+        a_k = (2 * n - 1) ** 2
+        state._a_prev, state._a = state._a, 2 * state._a + a_k * state._a_prev
+        state._b_prev, state._b = state._b, 2 * state._b + a_k * state._b_prev
+    elif m is MethodId.VIETE:
+        two = 2 * state._one
+        state._r = _isqrt_nearest((two + state._r) * state._one)
+        state._d = _div_half_even(4 * state._d * state._one, two + state._r)
+    else:
+        state._acc += _div_half_even(state._one, n ** state.params.s)
+
+
+def _reference_state(method, ctx, n):
+    state = make_state(method, ctx)
+    for _ in range(n):
+        _reference_step(state)
+    return state
+
+
+def _registers(state):
+    return {k: v for k, v in vars(state).items() if k != "n"}
+
+
+# Scales 27 (Tables 4 and 5), 32 (Tables 1-3) and 162 (150 digits).
+KERNEL_CTXS = [PrecisionCtx(15, 12), PrecisionCtx(15, 17), PrecisionCtx(150, 12)]
+# Registers of a few digits: every stopping point lies below 3000 steps
+# (zeta2 and zeta4 too), and Newton's term passes through t = 1.
+SMALL_CTXS = [PrecisionCtx(dp, 0) for dp in (1, 2, 3, 4, 6)]
+
+
+class TestAdvanceTo:
+    # N crosses every stopping point the kernels have at these scales, except
+    # the zeta ones that lie beyond 10^5 steps (zeta2 and zeta4 throughout,
+    # zeta6 at scale 32, zeta6 and zeta8 at scale 162).
+    FAR = {
+        (MethodId.ZETA6, 27): 36000,  # last nonzero term at k = 35495
+        (MethodId.ZETA8, 32): 11000,  # k = 10905
+    }
+
+    @pytest.mark.parametrize("ctx", KERNEL_CTXS + SMALL_CTXS, ids=lambda c: f"s{c.scale}")
+    @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+    def test_three_routes_bit_identical(self, method, ctx):
+        big = self.FAR.get((method, ctx.scale), 3000)
+        expected = _reference_state(method, ctx, big)
+
+        one_call = make_state(method, ctx)
+        one_call.advance_to(big)
+
+        chunked = make_state(method, ctx)
+        rng = random.Random(f"{method.value}-{ctx.scale}")
+        target = 0
+        while target < big:
+            target = min(big, target + rng.choice((1, 2, 3, 7, 40, 333)))
+            chunked.advance_to(target)
+
+        stepped = make_state(method, ctx)
+        for _ in range(big):
+            stepped.step()
+
+        for state in (one_call, chunked, stepped):
+            assert vars(state) == vars(expected)
+            assert state.value() == expected.value()
+            assert state.value().scale == expected.value().scale
+
+    @pytest.mark.parametrize("method, ctx, last", [
+        (MethodId.NEWTON_ARCSINE, PrecisionCtx(15, 12), 40),  # t rounds to 0
+        (MethodId.NEWTON_ARCSINE, PrecisionCtx(15, 17), 48),
+        (MethodId.NEWTON_ARCSINE, PrecisionCtx(150, 12), 262),
+        (MethodId.VIETE, PrecisionCtx(15, 12), 47),  # r rounds to exactly 2
+        (MethodId.ZETA8, PrecisionCtx(14, 12), 1939),  # 1940^8 >= 2 * 10^26
+    ])
+    def test_jump_across_stopping_point(self, method, ctx, last):
+        # `last` is the last step that changes a register: the reference
+        # stepping moves a register there and none in the next 5000 steps.
+        before = _reference_state(method, ctx, last - 1)
+        at = _reference_state(method, ctx, last)
+        after = _reference_state(method, ctx, last + 5000)
+        assert _registers(before) != _registers(at) == _registers(after)
+        for start, stop in ((last - 1, last + 1), (last - 3, last + 5000), (0, 10**9)):
+            state = make_state(method, ctx)
+            state.advance_to(start)
+            state.advance_to(stop)
+            assert state.n == stop
+            assert _registers(state) == _registers(after if stop > last else at)
+
+    @pytest.mark.parametrize("method", [MethodId.WALLIS, MethodId.LEIBNIZ])
+    def test_quotient_either_side_of_one_half(self, method):
+        # For odd d, a/d comes no closer to q + 1/2 than (d -+ 1)/(2d) past q.
+        # A register set to each of those must round like the reference step.
+        for n in (0, 1, 6, 99, 10**6):
+            k = n + 1
+            d = 4 * k * k - 1 if method is MethodId.WALLIS else 2 * k + 1
+            for a in (7 * d + d // 2, 7 * d + d // 2 + 1, -7 * d - d // 2):
+                kernel, reference = make_state(method, CTX), make_state(method, CTX)
+                for state in (kernel, reference):
+                    state.n = n
+                    setattr(state, "_acc" if method is MethodId.WALLIS else "_four", a)
+                kernel.advance_to(k)
+                _reference_step(reference)
+                assert vars(kernel) == vars(reference), (n, a)
+
+    @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+    def test_target_not_ahead_is_a_no_op(self, method):
+        state = make_state(method, CTX)
+        for n in (0, 5):
+            state.advance_to(n)
+            before = dict(vars(state))
+            for target in (n, n - 1, 0, -3):
+                state.advance_to(target)
+                assert vars(state) == before
+
+    def test_tie_free_rounding_for_odd_divisors(self):
+        # Wallis and Leibniz round a/d for odd d by (a + (d-1)//2) // d.
+        rng = random.Random(20261018)
+        for _ in range(20000):
+            d = 2 * rng.randrange(0, 10 ** rng.randrange(1, 40)) + 1
+            q = rng.randrange(-(10 ** 30), 10 ** 30) // 10 ** rng.randrange(0, 30)
+            # either side of the half-way point q + 1/2, and a random a
+            for a in (q * d + d // 2, q * d + d // 2 + 1, q * d + rng.randrange(d)):
+                assert (a + (d - 1) // 2) // d == _div_half_even(a, d), (a, d)

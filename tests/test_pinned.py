@@ -21,7 +21,8 @@ def _stdout_sha256(capsys, argv):
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7])
+# Tables 1 and 2 take seconds each; the acceptance fixture runs them.
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_table_digest(capsys, k):
     assert _stdout_sha256(capsys, ["table", "--id", str(k)]) == PINNED["tables"][str(k)]
 
