@@ -11,20 +11,12 @@ from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
     default_guard,
-    fx_add,
-    fx_div,
-    fx_from_ratio,
-    fx_mul,
     fx_nth_root,
     fx_parse,
-    fx_pow_int,
-    fx_round,
     fx_sqrt,
-    fx_sub,
     fx_to_string,
 )
 from .harness import (
-    CrossoverReport,
     ReferenceIntegrityError,
     ReferencePi,
     RunRecord,
@@ -34,17 +26,13 @@ from .harness import (
     pct_error,
     reference_pi,
     run,
-    time_to_digits,
 )
 from .methods import (
     MethodId,
-    ZetaParams,
-    current,
     euler_cf,
     leibniz,
     make_state,
     newton_arcsine,
-    step,
     viete,
     wallis,
     zeta_pi,
@@ -56,18 +44,10 @@ __all__ = [
     "BigFixed",
     "PrecisionCtx",
     "default_guard",
-    "fx_add",
-    "fx_div",
-    "fx_from_ratio",
-    "fx_mul",
     "fx_nth_root",
     "fx_parse",
-    "fx_pow_int",
-    "fx_round",
     "fx_sqrt",
-    "fx_sub",
     "fx_to_string",
-    "CrossoverReport",
     "ReferenceIntegrityError",
     "ReferencePi",
     "RunRecord",
@@ -77,15 +57,11 @@ __all__ = [
     "pct_error",
     "reference_pi",
     "run",
-    "time_to_digits",
     "MethodId",
-    "ZetaParams",
-    "current",
     "euler_cf",
     "leibniz",
     "make_state",
     "newton_arcsine",
-    "step",
     "viete",
     "wallis",
     "zeta_pi",

@@ -18,7 +18,7 @@ from .harness import (
     run,
     run_table,
 )
-from .methods import MethodId
+from .methods import MethodId, make_state
 from .report import TableSpec, render_csv, render_markdown, render_plot_data
 
 EXIT_OK = 0
@@ -154,18 +154,33 @@ def parse_args(argv) -> CliConfig:
         cfg.methods = _parse_methods(ns.method)
         if len(cfg.methods) != 1:
             raise UsageError("run takes exactly one --method")
+        if ns.reference is not None:
+            try:
+                fx_parse(ns.reference)
+            except ValueError:
+                raise UsageError(f"bad --reference literal {ns.reference!r}")
         cfg.reference = ns.reference
     elif ns.command == "compare":
         cfg.methods = _parse_methods(ns.methods)
         if len(cfg.methods) < 2:
             raise UsageError("compare needs at least two methods")
+        if len(set(cfg.methods)) != len(cfg.methods):
+            raise UsageError("compare takes each method once")
         if ns.thresholds is not None:
             cfg.thresholds = [parse_decimal_exp(t) for t in ns.thresholds.split(",")]
+            if any(t.significand <= 0 for t in cfg.thresholds):
+                raise UsageError("--thresholds must be positive")
+            if any(b >= a for a, b in zip(cfg.thresholds, cfg.thresholds[1:])):
+                raise UsageError("--thresholds must be strictly decreasing")
     elif ns.command == "table":
         if ns.table_id not in TABLE_PRESETS:
             raise UsageError("--id must be in 1..7")
         cfg.table_id = ns.table_id
         cfg.out = ns.out
+    for m in cfg.methods:
+        low = make_state(m, PrecisionCtx(1, 0)).min_index
+        if cfg.schedule.points[0] < low:
+            raise UsageError(f"{m.value} is defined for n >= {low}")
     return cfg
 
 
@@ -201,17 +216,17 @@ def _cmd_compare(cfg: CliConfig) -> int:
     if guard is None:
         guard = default_guard(cfg.schedule.max_n)
     ctx = PrecisionCtx(cfg.working_dp, guard)
-    table, crossings = compare(
+    records, crossings = compare(
         cfg.methods,
         cfg.schedule,
         ctx,
         tuple(cfg.thresholds) if cfg.thresholds else None,
     )
-    flat = [r for m in table.methods for r in table.records[m]]
+    flat = [r for recs in records.values() for r in recs]
     text = _render_records(flat, cfg.fmt, cfg.working_dp)
     lines = ["# crossover: first sampled n with abs error below threshold"]
-    for m in table.methods:
-        for threshold, n in crossings.crossings[m]:
+    for m, crossed in crossings.items():
+        for threshold, n in crossed:
             shown = n if n is not None else "not reached"
             lines.append(
                 f"# {m.value} < {fx_to_string(threshold, threshold.scale)}%: {shown}"

@@ -150,10 +150,6 @@ class BigFixed:
     def __abs__(self) -> "BigFixed":
         return BigFixed(abs(self.significand), self.scale)
 
-    @property
-    def sign(self) -> int:
-        return (self.significand > 0) - (self.significand < 0)
-
     def __repr__(self) -> str:  # debugging aid, not the wire format
         return f"BigFixed({fx_to_string(self, self.scale)})"
 
@@ -164,15 +160,6 @@ def _rescale(x: BigFixed, scale: int) -> BigFixed:
     if scale > x.scale:
         return BigFixed(x.significand * 10 ** (scale - x.scale), scale)
     return BigFixed(_div_half_even(x.significand, 10 ** (x.scale - scale)), scale)
-
-
-def fx_from_ratio(p: int, q: int, ctx: PrecisionCtx) -> BigFixed:
-    """p/q rounded half-even to the context scale."""
-    if q == 0:
-        raise ZeroDivisionError("ratio denominator is zero")
-    if q < 0:
-        p, q = -p, -q
-    return BigFixed(_div_half_even(p * 10 ** ctx.scale, q), ctx.scale)
 
 
 def fx_add(a: BigFixed, b: BigFixed, ctx: PrecisionCtx) -> BigFixed:
@@ -235,13 +222,6 @@ def fx_nth_root(x: BigFixed, r: int, ctx: PrecisionCtx) -> BigFixed:
     return _rescale(BigFixed(_iroot(n, r), s), ctx.scale)
 
 
-def fx_pow_int(x: BigFixed, k: int, ctx: PrecisionCtx) -> BigFixed:
-    """x**k for k >= 0, exact integer power rounded once."""
-    if k < 0:
-        raise ValueError("negative exponents are not supported")
-    return _rescale(BigFixed(x.significand ** k, x.scale * k), ctx.scale)
-
-
 def fx_round(x: BigFixed, dp: int) -> BigFixed:
     if dp < 0:
         raise ValueError("dp must be >= 0")
@@ -279,8 +259,3 @@ def fx_parse(s: str) -> BigFixed:
         raise ValueError(f"not a plain decimal literal: {s!r}")
     frac = m.group(1) or ""
     return BigFixed(int(s.replace(".", "")), len(frac))
-
-
-def fx_ulp(ctx: PrecisionCtx) -> BigFixed:
-    """One unit in the last place at the context scale."""
-    return BigFixed(1, ctx.scale)

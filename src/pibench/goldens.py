@@ -1,7 +1,8 @@
 """Embedded reference-table rows and the selftest discrepancy audit.
 
 The data file carries the seven published convergence tables keyed by
-(table, row). Cells the published source demonstrably got wrong (print
+(table, row); harness.TABLE_PRESETS says which methods and columns each
+table prints. Cells the published source demonstrably got wrong (print
 artifacts, duplicated rows, row-shifted error columns) are flagged
 divergent and carry the exactly recomputed value alongside the published
 string. The selftest recomputes every table and checks:
@@ -73,25 +74,24 @@ class Cell:
 def _cells(tid: int, table: dict):
     """Every published cell of a golden table, in audit order.
 
-    A single-method table gives each row a "value" and an "err" string
-    with flags per column; a multi-method table gives each row a "values"
-    or "errs" dict with flags per method.
+    A row holds the published "values" and "errs" strings by method, and a
+    flag for each method with a divergent cell: a column of that cell is
+    divergent iff the flag holds recomputed_<column>. The preset says which
+    methods and columns the table has.
     """
+    preset = TABLE_PRESETS[tid]
     for row in table["rows"]:
         n = row["n"]
-        for column in ("value", "err"):
-            if column in row:
-                yield Cell(
-                    f"table {tid} n={n} {column}", table["method"], n, column,
-                    row[column], row[f"{column}_divergent"],
-                    row[f"recomputed_{column}"], row["reason"],
-                )
-            for name, published in row.get(column + "s", {}).items():
+        for column, _ in preset.columns:
+            for method in preset.methods:
+                name = method.value
                 flag = row["flags"].get(name, {})
+                recomputed = flag.get(f"recomputed_{column}")
+                label = column if len(preset.methods) == 1 else name
                 yield Cell(
-                    f"table {tid} n={n} {name}", name, n, column, published,
-                    name in row["flags"], flag.get(f"recomputed_{column}"),
-                    flag.get("reason"),
+                    f"table {tid} n={n} {label}", name, n, column,
+                    row[column + "s"][name], recomputed is not None,
+                    recomputed, flag.get("reason"),
                 )
 
 

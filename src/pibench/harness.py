@@ -17,7 +17,6 @@ from .fixedpoint import (
     fx_truncate_string,
 )
 from .methods import (
-    ApproximantState,
     MethodId,
     ZETA_METHODS,
     NewtonArcsineState,
@@ -185,21 +184,6 @@ def run(
     return records
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Smallest sampled n per method with abs error below each threshold."""
-
-    thresholds: tuple[BigFixed, ...]
-    crossings: dict  # method -> list of (threshold, n or None)
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    methods: tuple[MethodId, ...]
-    schedule: Schedule
-    records: dict  # method -> list[RunRecord]
-
-
 # The source study's five pairwise comparisons, addressable by name.
 PAIRINGS = {
     "leibniz-vs-newton": (MethodId.LEIBNIZ, MethodId.NEWTON_ARCSINE),
@@ -217,10 +201,18 @@ def compare(
     schedule: Schedule,
     ctx: PrecisionCtx,
     thresholds: tuple[BigFixed, ...] | None = None,
-) -> tuple[ComparisonTable, CrossoverReport]:
+) -> tuple[dict, dict]:
+    """Runs of several methods on one schedule, and their crossovers.
+
+    Returns (records, crossings), both keyed by method in the given order:
+    each method's records, and for each threshold (threshold, smallest
+    sampled n with abs error below it, or None).
+    """
     methods = tuple(MethodId(m) for m in methods)
     if len(methods) < 2:
         raise ValueError("compare needs at least two methods")
+    if len(set(methods)) != len(methods):
+        raise ValueError("compare takes each method once")
     if thresholds is None:
         thresholds = tuple(fx_parse(t) for t in DEFAULT_THRESHOLDS)
     thresholds = tuple(thresholds)
@@ -241,38 +233,7 @@ def compare(
             hit = next((r.n for r in records[m] if r.abs_err_pct < t), None)
             per_method.append((t, hit))
         crossings[m] = per_method
-    table = ComparisonTable(methods, schedule, records)
-    return table, CrossoverReport(thresholds, crossings)
-
-
-@dataclass(frozen=True)
-class TimeToDigits:
-    reached: bool
-    n: int
-    elapsed_ns: int
-
-
-def time_to_digits(
-    method: MethodId,
-    target_digits: int,
-    ctx: PrecisionCtx,
-    step_budget: int,
-    ref: ReferencePi | None = None,
-) -> TimeToDigits:
-    """Advance a generator until target_digits are correct or budget runs out."""
-    if target_digits > ctx.working_dp:
-        raise ValueError("target_digits must be <= working_dp")
-    if ref is None:
-        ref = reference_pi(ctx)
-    state = make_state(MethodId(method), ctx)
-    start = time.perf_counter_ns()
-    while state.n < step_budget:
-        state.step()
-        if state.n < state.min_index:
-            continue
-        if digits_correct(state.value(), ref) >= target_digits:
-            return TimeToDigits(True, state.n, time.perf_counter_ns() - start)
-    return TimeToDigits(False, state.n, time.perf_counter_ns() - start)
+    return records, crossings
 
 
 # The published tables: the one registry of their methods, schedules,

@@ -28,7 +28,6 @@ rounding meets no tie, so round(a/d) = (a + (d - 1)//2) // d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -54,23 +53,12 @@ class MethodId(str, Enum):
     ZETA8 = "zeta8"
 
 
-@dataclass(frozen=True)
-class ZetaParams:
-    s: int
-    constant: int
-
-    def __post_init__(self) -> None:
-        if (self.s, self.constant) not in _ZETA_PAIRS:
-            raise ValueError(f"unsupported zeta parameters ({self.s}, {self.constant})")
-
-
-_ZETA_PAIRS = {(2, 6), (4, 90), (6, 945), (8, 9450)}
-
+# (s, C) of each zeta method: pi = (C * zeta(s))^(1/s).
 ZETA_PARAMS = {
-    MethodId.ZETA2: ZetaParams(2, 6),
-    MethodId.ZETA4: ZetaParams(4, 90),
-    MethodId.ZETA6: ZetaParams(6, 945),
-    MethodId.ZETA8: ZetaParams(8, 9450),
+    MethodId.ZETA2: (2, 6),
+    MethodId.ZETA4: (4, 90),
+    MethodId.ZETA6: (6, 945),
+    MethodId.ZETA8: (8, 9450),
 }
 
 ZETA_METHODS = tuple(ZETA_PARAMS)
@@ -91,9 +79,6 @@ class ApproximantState:
 
     def value(self) -> BigFixed:
         raise NotImplementedError
-
-    def current(self) -> tuple[int, BigFixed]:
-        return self.n, self.value()
 
 
 class WallisState(ApproximantState):
@@ -246,17 +231,16 @@ class VieteState(ApproximantState):
 
 
 class ZetaState(ApproximantState):
-    min_index = 1
-
-    def __init__(self, ctx: PrecisionCtx, params: ZetaParams) -> None:
+    def __init__(self, ctx: PrecisionCtx, method: MethodId) -> None:
         super().__init__(ctx)
-        self.params = params
+        self.method = method
+        self._s, self._constant = ZETA_PARAMS[method]
         self._one = 10 ** ctx.scale
         self._acc = 0  # sum_{k=1..n} 1/k^s
-        self._last = _iroot(2 * self._one - 1, params.s)  # last nonzero term
+        self._last = _iroot(2 * self._one - 1, self._s)  # last nonzero term
 
     def advance_to(self, target: int) -> None:
-        one, s, acc = self._one, self.params.s, self._acc
+        one, s, acc = self._one, self._s, self._acc
         for k in range(self.n + 1, min(target, self._last) + 1):
             acc += _div_half_even(one, k ** s)
         self._acc, self.n = acc, max(self.n, target)
@@ -264,16 +248,14 @@ class ZetaState(ApproximantState):
     def value(self) -> BigFixed:
         if self.n < 1:
             raise ValueError("zeta methods are defined for n >= 1")
-        radicand = BigFixed(self.params.constant * self._acc, self.ctx.scale)
-        return fx_nth_root(radicand, self.params.s, self.ctx)
+        radicand = BigFixed(self._constant * self._acc, self.ctx.scale)
+        return fx_nth_root(radicand, self._s, self.ctx)
 
 
 def make_state(method: MethodId, ctx: PrecisionCtx) -> ApproximantState:
     method = MethodId(method)
     if method in ZETA_PARAMS:
-        state = ZetaState(ctx, ZETA_PARAMS[method])
-        state.method = method
-        return state
+        return ZetaState(ctx, method)
     cls = {
         MethodId.WALLIS: WallisState,
         MethodId.LEIBNIZ: LeibnizState,
@@ -282,15 +264,6 @@ def make_state(method: MethodId, ctx: PrecisionCtx) -> ApproximantState:
         MethodId.VIETE: VieteState,
     }[method]
     return cls(ctx)
-
-
-def step(state: ApproximantState) -> ApproximantState:
-    state.step()
-    return state
-
-
-def current(state: ApproximantState) -> tuple[int, BigFixed]:
-    return state.current()
 
 
 def _run_to(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
@@ -328,8 +301,8 @@ def viete(n: int, ctx: PrecisionCtx) -> BigFixed:
     return _run_to(MethodId.VIETE, n, ctx)
 
 
-def zeta_pi(params: ZetaParams, n: int, ctx: PrecisionCtx) -> BigFixed:
-    for mid, p in ZETA_PARAMS.items():
-        if p == params:
-            return _run_to(mid, n, ctx)
-    raise ValueError(f"unsupported zeta parameters {params}")
+def zeta_pi(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
+    method = MethodId(method)
+    if method not in ZETA_PARAMS:
+        raise ValueError(f"{method.value} is not a zeta method")
+    return _run_to(method, n, ctx)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fixedpoint import fx_parse, fx_to_string
+from .fixedpoint import fx_to_string
 from .harness import ERR_DP, TABLE_PRESETS, RunRecord
 from .methods import MethodId
 
@@ -92,30 +92,6 @@ def render_csv(records: list[RunRecord]) -> str:
             f"{r.digits_correct},{r.elapsed_ns}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> list[RunRecord]:
-    """Inverse of render_csv at the printed precision."""
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed CSV header")
-    records = []
-    for ln in lines[1:]:
-        method, n, value, signed, absolute, digits, elapsed = ln.split(",")
-        v = fx_parse(value)
-        records.append(
-            RunRecord(
-                method=MethodId(method),
-                n=int(n),
-                value=v,
-                signed_err_pct=fx_parse(signed),
-                abs_err_pct=fx_parse(absolute),
-                digits_correct=int(digits),
-                elapsed_ns=int(elapsed),
-                working_dp=v.scale,
-            )
-        )
-    return records
 
 
 def render_plot_data(records: list[RunRecord]) -> str:

@@ -1,7 +1,8 @@
 import mpmath
 import pytest
 
-from pibench import PrecisionCtx, reference_pi
+from pibench import BigFixed, PrecisionCtx, reference_pi
+from pibench.fixedpoint import fx_round
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +79,9 @@ def viete_mp(n):
 def pct_err_mp(value):
     """|1 - value/pi| * 100, the tables' error column."""
     return abs(1 - value / mpmath.pi) * 100
+
+
+def pow_int(x, k, ctx):
+    """x**k for k >= 0 as a BigFixed: the exact power rounded once to the
+    context scale. Builds radicands for the root round-trip checks."""
+    return fx_round(BigFixed(x.significand ** k, x.scale * k), ctx.scale)

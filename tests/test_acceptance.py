@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import leibniz_mp, mp_string, pct_err_mp, viete_mp, wallis_mp
+from conftest import leibniz_mp, mp_string, pct_err_mp, pow_int, viete_mp, wallis_mp
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
@@ -25,7 +25,6 @@ from pibench.fixedpoint import (
     fx_mul,
     fx_nth_root,
     fx_parse,
-    fx_pow_int,
     fx_sqrt,
     fx_sub,
     fx_to_string,
@@ -33,11 +32,11 @@ from pibench.fixedpoint import (
 from pibench.goldens import load as load_goldens
 from pibench.harness import (
     TABLE_PRESETS,
+    Schedule,
     digits_correct,
     pct_error,
     reference_pi,
     run,
-    time_to_digits,
 )
 from pibench.methods import (
     MethodId,
@@ -47,6 +46,7 @@ from pibench.methods import (
     make_state,
     newton_arcsine,
     viete,
+    zeta_pi,
 )
 
 
@@ -86,32 +86,45 @@ def table_runs():
     return out
 
 
-def _table_mismatches(records, table, oracle=None, dps=80, check_values=True,
+def _cell(row, method, column):
+    """(published, frozen recomputation or None) of one goldens cell; the
+    cell is flagged divergent iff the recomputation is not None."""
+    flag = row["flags"].get(method, {})
+    return row[column + "s"][method], flag.get(f"recomputed_{column}")
+
+
+def _row(table, n):
+    return next(row for row in table["rows"] if row["n"] == n)
+
+
+def _table_mismatches(records, tid, oracle=None, dps=80, check_values=True,
                       check_errs=True, value_ns=None, err_ns=None):
-    """Cells that break the audit rule, one line each.
+    """Cells of single-method table ``tid`` that break the audit rule, one
+    line each.
 
     ``oracle(n)`` gives the exact table value under mpmath at ``dps``
     digits; the error column's truth is ``pct_err_mp`` of it.
     """
+    preset = TABLE_PRESETS[tid]
+    (method,) = (m.value for m in preset.methods)
     by_n = {r.n: r for r in records}
     bad = []
-    for row in table["rows"]:
+    for row in load_goldens()[str(tid)]["rows"]:
         n = row["n"]
         rec = by_n[n]
         cells = []
         if check_values and (value_ns is None or n in value_ns):
-            cells.append(("value", rec.value_str(table["value_dp"]),
-                          table["value_dp"], lambda: oracle(n)))
+            cells.append(("value", rec.value_str(preset.value_dp),
+                          preset.value_dp, lambda: oracle(n)))
         if check_errs and (err_ns is None or n in err_ns):
-            cells.append(("err", fx_to_string(rec.abs_err_pct, table["err_dp"]),
-                          table["err_dp"], lambda: pct_err_mp(oracle(n))))
+            cells.append(("err", fx_to_string(rec.abs_err_pct, preset.err_dp),
+                          preset.err_dp, lambda: pct_err_mp(oracle(n))))
         for col, got, dp, exact in cells:
-            published = row[col]
-            if not row[f"{col}_divergent"]:
+            published, frozen = _cell(row, method, col)
+            if frozen is None:
                 if got != published:
                     bad.append(f"n={n} {col} computed={got} published={published}")
                 continue
-            frozen = row[f"recomputed_{col}"]
             if got != frozen:
                 bad.append(f"n={n} {col} computed={got} frozen={frozen}")
             truth = mp_string(exact, dp, dps)
@@ -125,14 +138,13 @@ def _table_mismatches(records, table, oracle=None, dps=80, check_values=True,
 
 def test_criterion_1_wallis_table(table_runs):
     with criterion("Table 1: published cells, flagged cells at their audited recomputation"):
-        table = load_goldens()["1"]
         records = table_runs[1]
         by_n = {r.n: r for r in records}
         assert by_n[5].value_str(15) == "3.002175954556907"
         assert by_n[10 ** 7].value_str(15) == "3.141592575049982"
         assert fx_to_string(by_n[5].abs_err_pct, 5) == "4.43777"
         assert table_runs["table1_seconds"] <= 120.0
-        bad = _table_mismatches(records, table, wallis_mp)
+        bad = _table_mismatches(records, 1, wallis_mp)
         assert not bad, "cells breaking the audit rule: " + "; ".join(bad)
         # The source prints 0.00001; the exact error is 0.0000025 %.
         assert fx_to_string(by_n[10 ** 7].abs_err_pct, 5) == "0.00000"
@@ -150,26 +162,26 @@ def test_criterion_2_leibniz_table(table_runs):
         ) / 10 ** 25
         for row in table["rows"]:
             if row["n"] in (10 ** 6, 10 ** 7):
-                assert row["value_divergent"], f"n={row['n']} not flagged"
+                value, frozen = _cell(row, "leibniz", "value")
+                assert frozen is not None, f"n={row['n']} not flagged"
                 remainder = Fraction(4, 4 * row["n"] + 6)
-                published = Fraction(row["value"].replace(".", "")) / 10 ** 15
+                published = Fraction(value.replace(".", "")) / 10 ** 15
                 # published value sits closer to pi than the bound allows
                 assert abs(published - pi_ref) < remainder
         # row-shifted error cells at n >= 80 are documented divergences
         shifted = [
             row["n"] for row in table["rows"]
-            if row["err_divergent"] and row["n"] >= 80
+            if _cell(row, "leibniz", "err")[1] is not None and row["n"] >= 80
         ]
         assert shifted, "no documented row-shift divergences at n >= 80"
-        bad = _table_mismatches(records, table, leibniz_mp)
+        bad = _table_mismatches(records, 2, leibniz_mp)
         assert not bad, "cells breaking the audit rule: " + "; ".join(bad)
 
 
 def test_criterion_3_newton_table(table_runs):
     with criterion("Table 3 reproduction + 15 digits from n=25 on"):
-        table = load_goldens()["3"]
         records = table_runs[3]
-        bad = _table_mismatches(records, table, value_ns={5, 10, 15, 20},
+        bad = _table_mismatches(records, 3, value_ns={5, 10, 15, 20},
                                 err_ns={5, 10, 15, 20})
         assert not bad, "; ".join(bad)
         by_n = {r.n: r for r in records}
@@ -187,13 +199,13 @@ def test_criterion_4_continued_fraction(table_runs):
         records = table_runs[4]
         by_n = {r.n: r for r in records}
         assert by_n[1].value_str(15) == "2.666666666666667"
-        row1 = next(r for r in table["rows"] if r["n"] == 1)
-        assert row1["value"] == "2.666666666666667" and not row1["value_divergent"]
+        assert _cell(_row(table, 1), "eulercf", "value") == ("2.666666666666667", None)
         for row in table["rows"]:
             if row["n"] >= 2:
-                assert row["value_divergent"], f"d={row['n']} not flagged"
+                _, frozen = _cell(row, "eulercf", "value")
+                assert frozen is not None, f"d={row['n']} not flagged"
                 # the flag carries the recomputed convergent and we match it
-                assert by_n[row["n"]].value_str(15) == row["recomputed_value"]
+                assert by_n[row["n"]].value_str(15) == frozen
         ctx = PrecisionCtx(15, 12)
         for d in range(1, 21):
             series = sum(Fraction(4 * (-1) ** k, 2 * k + 1) for k in range(d + 1))
@@ -206,7 +218,6 @@ def test_criterion_4_continued_fraction(table_runs):
 
 def test_criterion_5_viete_table(table_runs):
     with criterion("Table 5: published values, flagged values at their audited recomputation"):
-        table = load_goldens()["5"]
         records = table_runs[5]
         by_n = {r.n: r for r in records}
         # saturation from n=25 onward
@@ -214,7 +225,7 @@ def test_criterion_5_viete_table(table_runs):
             if r.n >= 25:
                 assert r.value_str(15) == "3.141592653589793", f"n={r.n}"
         # viete_mp cancels about 0.6n digits; 160 dps covers n <= 100.
-        bad = _table_mismatches(records, table, viete_mp, dps=160, check_errs=False)
+        bad = _table_mismatches(records, 5, viete_mp, dps=160, check_errs=False)
         assert not bad, "cells breaking the audit rule: " + "; ".join(bad)
         # The source prints ...921242, a float cancellation artifact.
         assert by_n[1].value_str(15) == "3.061467458920718"
@@ -222,19 +233,17 @@ def test_criterion_5_viete_table(table_runs):
 
 def test_criterion_6_zeta_tables(table_runs):
     with criterion("Tables 6-7: zeta values at 14 dp + error ordering"):
-        tables = load_goldens()
-        t6 = tables["6"]
         zeta_runs = table_runs[6]
-        for row in t6["rows"]:
-            for name in t6["methods"]:
-                rec = next(r for r in zeta_runs[MethodId(name)] if r.n == row["n"])
+        for row in load_goldens()["6"]["rows"]:
+            for method in TABLE_PRESETS[6].methods:
+                rec = next(r for r in zeta_runs[method] if r.n == row["n"])
                 got = rec.value_str(14)
-                if name == "zeta2" and row["n"] == 5:
-                    flag = row["flags"]["zeta2"]
-                    assert flag["recomputed_value"].startswith("2.96338")
-                    assert got == flag["recomputed_value"]
+                published, frozen = _cell(row, method.value, "value")
+                if method is MethodId.ZETA2 and row["n"] == 5:
+                    assert frozen.startswith("2.96338")
+                    assert got == frozen
                 else:
-                    assert got == row["values"][name], f"n={row['n']} {name}"
+                    assert got == published, f"n={row['n']} {method.value}"
         # Table 7 pattern on recomputed full-precision errors
         for n in TABLE_PRESETS[6].schedule:
             errs = [
@@ -309,7 +318,7 @@ def test_criterion_7_property_suite():
             sig = rng.randrange(10 ** 12, 10 * 10 ** 12)  # x in [1, 10]
             r_ord = rng.choice((2, 4, 6, 8))
             x = BigFixed(sig, 12)
-            y = fx_nth_root(fx_pow_int(x, r_ord, root_ctx), r_ord, root_ctx)
+            y = fx_nth_root(pow_int(x, r_ord, root_ctx), r_ord, root_ctx)
             assert abs(fx_sub(y, x, root_ctx).significand) <= 1
 
         # reference integrity
@@ -318,10 +327,6 @@ def test_criterion_7_property_suite():
             reference_pi(ctx, "3.241592653589793")
 
         assert time.perf_counter() - suite_start <= 300.0
-
-
-def _row(table, n):
-    return next(row for row in table["rows"] if row["n"] == n)
 
 
 def _error_ratio_bounds(a, b):
@@ -343,8 +348,9 @@ def test_criterion_8_comparison_presets():
         ctx = PrecisionCtx(15, 12)
         ref = reference_pi(ctx)
         # Table 3 saturates at n = 25; Table 2's n = 30 value has one digit.
-        res = time_to_digits(MethodId.NEWTON_ARCSINE, 15, ctx, 100, ref)
-        assert res.reached and res.n <= 25
+        newton = run(MethodId.NEWTON_ARCSINE, Schedule(tuple(range(1, 101))), ctx, ref)
+        first = next((r.n for r in newton if r.digits_correct >= 15), None)
+        assert first is not None and first <= 25
         assert digits_correct(leibniz(30, ctx), ref) <= 2
 
         # The depth-25 convergent is the n = 25 Leibniz sum (criterion 4),
@@ -352,23 +358,21 @@ def test_criterion_8_comparison_presets():
         _, viete2_err = pct_error(viete(2, ctx), ref)
         _, cf25_err = pct_error(euler_cf(25, ctx), ref)
         assert viete2_err < cf25_err
-        leibniz25 = _row(tables["2"], 25)
-        assert not leibniz25["err_divergent"]
-        assert fx_to_string(cf25_err, 5) == leibniz25["err"]
+        leibniz25_err, frozen = _cell(_row(tables["2"], 25), "leibniz", "err")
+        assert frozen is None
+        assert fx_to_string(cf25_err, 5) == leibniz25_err
 
         _, newton5_err = pct_error(newton_arcsine(5, ctx), ref)
         zeta_ctx = PrecisionCtx(15, 12)
-        from pibench.methods import ZetaParams, zeta_pi
-
-        _, zeta8_err = pct_error(zeta_pi(ZetaParams(8, 9450), 5, zeta_ctx), ref)
+        _, zeta8_err = pct_error(zeta_pi(MethodId.ZETA8, 5, zeta_ctx), ref)
         assert zeta8_err < newton5_err
         factor = fx_div(newton5_err, zeta8_err, ctx)
         # The factor the published, non-divergent n = 5 cells of Tables 3
         # and 6 give, within their rounding.
-        newton5 = _row(tables["3"], 5)
+        newton5, frozen = _cell(_row(tables["3"], 5), "newton", "value")
         zeta5 = _row(tables["6"], 5)
-        assert not newton5["value_divergent"] and "zeta8" not in zeta5["flags"]
-        lo, hi = _error_ratio_bounds(newton5["value"], zeta5["values"]["zeta8"])
+        assert frozen is None and "zeta8" not in zeta5["flags"]
+        lo, hi = _error_ratio_bounds(newton5, zeta5["values"]["zeta8"])
         assert lo <= Fraction(factor.significand, 10 ** factor.scale) <= hi, (
             f"error factor at n=5 is {fx_to_string(factor, 9)},"
             f" published cells give {float(lo):.9f}..{float(hi):.9f}"

@@ -1,0 +1,18 @@
+import re
+from pathlib import Path
+
+import pibench
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_all_is_the_readme_library_list():
+    # The bullet list of README's Library section names every export.
+    text = README.read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    bullets = [ln for ln in section.splitlines() if ln.startswith("- ")]
+    listed = {name for ln in bullets for name in re.findall(r"`(\w+)`", ln)}
+    assert listed and set(pibench.__all__) == listed
+    assert len(pibench.__all__) == len(set(pibench.__all__))
+    for name in pibench.__all__:
+        assert hasattr(pibench, name), name

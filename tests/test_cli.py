@@ -8,7 +8,7 @@ from pibench.cli import (
     parse_schedule_expr,
 )
 from pibench.fixedpoint import BigFixed
-from pibench.report import CSV_HEADER, parse_csv
+from pibench.report import CSV_HEADER
 
 
 class TestScheduleExpr:
@@ -70,6 +70,21 @@ class TestMainExitCodes:
         assert main(["run", "--method", "nosuch", "--schedule", "5"]) == 1
         assert "unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "viete", "--schedule", "0"],
+        ["compare", "--methods", "wallis,viete", "--schedule", "0:3:1"],
+        ["compare", "--methods", "newton,zeta8", "--thresholds", "1e-8,1e-3"],
+        ["compare", "--methods", "newton,zeta8", "--thresholds", "0"],
+        ["compare", "--methods", "newton,newton", "--schedule", "1:3:1"],
+        ["run", "--method", "wallis", "--schedule", "5", "--reference", "abc"],
+    ])
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pibench: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_reference_integrity_exit_2(self, capsys):
         rc = main(["run", "--method", "wallis", "--schedule", "5",
                    "--reference", "2.9"])
@@ -79,10 +94,11 @@ class TestMainExitCodes:
     def test_run_csv(self, capsys):
         assert main(["run", "--method", "wallis", "--schedule", "5,10",
                      "--dp", "15", "--format", "csv"]) == 0
-        out = capsys.readouterr().out
-        records = parse_csv(out)
-        assert [r.n for r in records] == [5, 10]
-        assert records[0].value_str(15) == "3.002175954556907"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [row[1] for row in rows] == ["5", "10"]
+        assert rows[0][2] == "3.002175954556907"
 
     def test_run_plot(self, capsys):
         assert main(["run", "--method", "viete", "--schedule", "1:5:1",

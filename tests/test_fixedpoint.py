@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pow_int
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
@@ -12,17 +13,14 @@ from pibench.fixedpoint import (
     default_guard,
     fx_add,
     fx_div,
-    fx_from_ratio,
     fx_mul,
     fx_nth_root,
     fx_parse,
-    fx_pow_int,
     fx_round,
     fx_sqrt,
     fx_sub,
     fx_to_string,
     fx_truncate_string,
-    fx_ulp,
 )
 
 CTX15 = PrecisionCtx(15, 0)
@@ -57,21 +55,23 @@ class TestConstruction:
 
 
 class TestRatio:
+    """fx_div of two integers: p/q rounded half-even to the context scale."""
+
     def test_eight_thirds(self):
-        assert s(fx_from_ratio(8, 3, CTX15), 15) == "2.666666666666667"
+        assert s(fx_div(BigFixed(8), BigFixed(3), CTX15), 15) == "2.666666666666667"
 
     def test_identity(self):
-        assert fx_from_ratio(1, 1, CTX10) == BigFixed(1)
+        assert fx_div(BigFixed(1), BigFixed(1), CTX10) == BigFixed(1)
 
     def test_negative_quarter(self):
-        assert s(fx_from_ratio(-1, 4, CTX15), 15) == "-0.250000000000000"
+        assert s(fx_div(BigFixed(-1), BigFixed(4), CTX15), 15) == "-0.250000000000000"
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            fx_from_ratio(1, 0, CTX10)
+            fx_div(BigFixed(1), BigFixed(0), CTX10)
 
     def test_negative_denominator(self):
-        assert fx_from_ratio(1, -4, CTX10) == fx_from_ratio(-1, 4, CTX10)
+        assert fx_div(BigFixed(1), BigFixed(-4), CTX10) == fx_div(BigFixed(-1), BigFixed(4), CTX10)
 
 
 class TestArithmetic:
@@ -214,7 +214,7 @@ class TestUlpProperties:
         # root can recover the input.
         ctx = PrecisionCtx(10, 0)
         x = BigFixed(sig, 10)
-        y = fx_nth_root(fx_pow_int(x, r, ctx), r, ctx)
+        y = fx_nth_root(pow_int(x, r, ctx), r, ctx)
         diff = fx_sub(y, x, ctx)
         assert abs(diff.significand) <= 1
 
@@ -225,7 +225,7 @@ class TestUlpProperties:
     @settings(max_examples=300)
     def test_ratio_recovers_numerator(self, p, q):
         ctx = PrecisionCtx(12, 0)
-        back = fx_mul(fx_from_ratio(p, q, ctx), BigFixed(q), ctx)
+        back = fx_mul(fx_div(BigFixed(p), BigFixed(q), ctx), BigFixed(q), ctx)
         diff = fx_sub(back, BigFixed(p), ctx)
         assert abs(diff.significand) <= abs(q)
 

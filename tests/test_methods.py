@@ -16,14 +16,11 @@ from pibench.fixedpoint import (
 from pibench.methods import (
     MethodId,
     ZETA_PARAMS,
-    ZetaParams,
-    current,
     euler_cf,
     euler_cf_convergent,
     leibniz,
     make_state,
     newton_arcsine,
-    step,
     viete,
     wallis,
     zeta_pi,
@@ -187,35 +184,35 @@ class TestViete:
 class TestZeta:
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            ZetaParams(2, 90)
+            zeta_pi(MethodId.WALLIS, 5, CTX)
         with pytest.raises(ValueError):
-            ZetaParams(3, 6)
+            zeta_pi("zeta3", 5, CTX)
 
     def test_pairs(self):
-        assert {(p.s, p.constant) for p in ZETA_PARAMS.values()} == {
+        assert set(ZETA_PARAMS.values()) == {
             (2, 6), (4, 90), (6, 945), (8, 9450),
         }
 
     def test_table_anchors(self):
         ctx = PrecisionCtx(14, 12)
-        assert fx_to_string(zeta_pi(ZetaParams(2, 6), 10, ctx), 14) == "3.04936163598207"
-        assert fx_to_string(zeta_pi(ZetaParams(8, 9450), 5, ctx), 14) == "3.14159231269578"
+        assert fx_to_string(zeta_pi(MethodId.ZETA2, 10, ctx), 14) == "3.04936163598207"
+        assert fx_to_string(zeta_pi(MethodId.ZETA8, 5, ctx), 14) == "3.14159231269578"
 
     def test_zeta2_n5_direct(self):
         # 6 * (1 + 1/4 + 1/9 + 1/16 + 1/25) = 6 * 5269/3600
         ctx = PrecisionCtx(14, 12)
-        assert fx_to_string(zeta_pi(ZetaParams(2, 6), 5, ctx), 6) == "2.963388"
+        assert fx_to_string(zeta_pi(MethodId.ZETA2, 5, ctx), 6) == "2.963388"
 
     def test_against_mpmath(self):
         ctx = PrecisionCtx(14, 12)
-        for mid, params in ZETA_PARAMS.items():
+        for mid, (s, constant) in ZETA_PARAMS.items():
             def oracle():
                 acc = mpmath.mpf(0)
                 for k in range(1, 51):
-                    acc += mpmath.mpf(1) / mpmath.mpf(k) ** params.s
-                return (params.constant * acc) ** (mpmath.mpf(1) / params.s)
+                    acc += mpmath.mpf(1) / mpmath.mpf(k) ** s
+                return (constant * acc) ** (mpmath.mpf(1) / s)
 
-            assert fx_to_string(zeta_pi(params, 50, ctx), 14) == mp_string(oracle, 14)
+            assert fx_to_string(zeta_pi(mid, 50, ctx), 14) == mp_string(oracle, 14)
 
 
 class TestStateProtocol:
@@ -230,9 +227,9 @@ class TestStateProtocol:
         ]:
             state = make_state(method, CTX)
             for _ in range(n):
-                step(state)
-            idx, resumed = current(state)
-            assert idx == n
+                state.step()
+            resumed = state.value()
+            assert state.n == n
             direct = {
                 MethodId.WALLIS: wallis,
                 MethodId.LEIBNIZ: leibniz,
@@ -241,7 +238,7 @@ class TestStateProtocol:
                 MethodId.VIETE: viete,
             }.get(method)
             if direct is None:
-                expected = zeta_pi(ZETA_PARAMS[method], n, CTX)
+                expected = zeta_pi(method, n, CTX)
             else:
                 expected = direct(n, CTX)
             assert resumed.significand == expected.significand
@@ -257,18 +254,16 @@ class TestStateProtocol:
         state = make_state(MethodId.WALLIS, CTX)
         for _ in range(5):
             state.step()
-        n, v = state.current()
-        assert (n, s15(v)) == (5, "3.002175954556907")
+        assert (state.n, s15(state.value())) == (5, "3.002175954556907")
 
         state = make_state(MethodId.LEIBNIZ, CTX)
-        assert state.current() == (0, BigFixed(4))
+        assert (state.n, state.value()) == (0, BigFixed(4))
 
         ctx14 = PrecisionCtx(14, 12)
         state = make_state(MethodId.ZETA8, ctx14)
         for _ in range(10):
             state.step()
-        n, v = state.current()
-        assert (n, fx_to_string(v, 14)) == (10, "3.14159264970117")
+        assert (state.n, fx_to_string(state.value(), 14)) == (10, "3.14159264970117")
 
 
 class TestMonotonicity:
@@ -339,7 +334,7 @@ def _reference_step(state):
         state._r = _isqrt_nearest((two + state._r) * state._one)
         state._d = _div_half_even(4 * state._d * state._one, two + state._r)
     else:
-        state._acc += _div_half_even(state._one, n ** state.params.s)
+        state._acc += _div_half_even(state._one, n ** state._s)
 
 
 def _reference_state(method, ctx, n):
