@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, field
 
@@ -19,7 +20,14 @@ from .harness import (
     run_table,
 )
 from .methods import MethodId, make_state
-from .report import TableSpec, render_csv, render_markdown, render_plot_data
+from .report import (
+    CSV_HEADER,
+    TableSpec,
+    csv_line,
+    render_csv,
+    render_markdown,
+    render_plot_data,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -184,12 +192,15 @@ def parse_args(argv) -> CliConfig:
     return cfg
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
+def _open_out(path: str | None):
+    """The output stream: stdout, or the --out file, opened now so that an
+    unwritable path fails before any work."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _render_records(records, fmt: str, value_dp: int) -> str:
@@ -206,8 +217,13 @@ def _cmd_run(cfg: CliConfig) -> int:
         guard = default_guard(cfg.schedule.max_n)
     ctx = PrecisionCtx(cfg.working_dp, guard)
     ref = reference_pi(ctx, cfg.reference)
-    records = run(cfg.methods[0], cfg.schedule, ctx, ref)
-    _emit(_render_records(records, cfg.fmt, cfg.working_dp), cfg.out)
+    with _open_out(cfg.out) as out:
+        records = run(cfg.methods[0], cfg.schedule, ctx, ref)
+        if cfg.fmt == "csv":  # written as computed: no record is kept
+            out.write(CSV_HEADER + "\n")
+            out.writelines(map(csv_line, records))
+        else:
+            out.write(_render_records(list(records), cfg.fmt, cfg.working_dp))
     return EXIT_OK
 
 
@@ -216,28 +232,30 @@ def _cmd_compare(cfg: CliConfig) -> int:
     if guard is None:
         guard = default_guard(cfg.schedule.max_n)
     ctx = PrecisionCtx(cfg.working_dp, guard)
-    records, crossings = compare(
-        cfg.methods,
-        cfg.schedule,
-        ctx,
-        tuple(cfg.thresholds) if cfg.thresholds else None,
-    )
-    flat = [r for recs in records.values() for r in recs]
-    text = _render_records(flat, cfg.fmt, cfg.working_dp)
-    lines = ["# crossover: first sampled n with abs error below threshold"]
-    for m, crossed in crossings.items():
-        for threshold, n in crossed:
-            shown = n if n is not None else "not reached"
-            lines.append(
-                f"# {m.value} < {fx_to_string(threshold, threshold.scale)}%: {shown}"
-            )
-    _emit(text + "\n".join(lines) + "\n", cfg.out)
+    with _open_out(cfg.out) as out:
+        records, crossings = compare(
+            cfg.methods,
+            cfg.schedule,
+            ctx,
+            tuple(cfg.thresholds) if cfg.thresholds else None,
+        )
+        flat = [r for recs in records.values() for r in recs]
+        text = _render_records(flat, cfg.fmt, cfg.working_dp)
+        lines = ["# crossover: first sampled n with abs error below threshold"]
+        for m, crossed in crossings.items():
+            for threshold, n in crossed:
+                shown = n if n is not None else "not reached"
+                lines.append(
+                    f"# {m.value} < {fx_to_string(threshold, threshold.scale)}%: {shown}"
+                )
+        out.write(text + "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_table(cfg: CliConfig) -> int:
-    records = run_table(cfg.table_id)
-    _emit(render_markdown(records, TableSpec.for_table(cfg.table_id)), cfg.out)
+    with _open_out(cfg.out) as out:
+        records = run_table(cfg.table_id)
+        out.write(render_markdown(records, TableSpec.for_table(cfg.table_id)))
     return EXIT_OK
 
 

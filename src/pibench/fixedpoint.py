@@ -229,13 +229,20 @@ def fx_round(x: BigFixed, dp: int) -> BigFixed:
 
 
 def fx_to_string(x: BigFixed, dp: int) -> str:
-    """Plain decimal string with exactly dp fractional digits."""
-    r = fx_round(x, dp)
-    sig = r.significand
-    neg = sig < 0
-    i, f = divmod(abs(sig), 10 ** dp) if dp else (abs(sig), 0)
-    body = f"{i}.{f:0{dp}d}" if dp else str(i)
-    return "-" + body if neg else body
+    """Plain decimal string with exactly dp fractional digits, rounded
+    half-even."""
+    if dp < 0:
+        raise ValueError("dp must be >= 0")
+    sig = x.significand
+    if dp >= x.scale:
+        sig *= 10 ** (dp - x.scale)
+    else:
+        sig = _div_half_even(sig, 10 ** (x.scale - dp))
+    if not dp:
+        return str(sig)
+    digits = str(abs(sig)).zfill(dp + 1)
+    body = f"{digits[:-dp]}.{digits[-dp:]}"
+    return "-" + body if sig < 0 else body
 
 
 def fx_truncate_string(x: BigFixed, dp: int) -> str:

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
-    fx_div,
-    fx_mul,
+    _div_half_even,
     fx_parse,
     fx_round,
-    fx_sub,
     fx_to_string,
     fx_truncate_string,
 )
@@ -37,6 +37,12 @@ class ReferencePi:
     value: BigFixed
     provenance: str  # "computed" | "user-literal"
     ctx: PrecisionCtx
+
+    @cached_property
+    def _truncated(self) -> int:
+        """The value times 10**working_dp, truncated: what digits_correct
+        compares every sample with."""
+        return _truncate(self.value, self.ctx.working_dp)
 
 
 def _check_prefix(value: BigFixed, what: str) -> None:
@@ -82,32 +88,51 @@ def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
     raise ReferenceIntegrityError("reference series failed to become stationary")
 
 
-_HUNDRED = BigFixed(100)
-_ONE = BigFixed(1)
+def _truncate(x: BigFixed, dp: int) -> int:
+    """|x| * 10**dp truncated to an integer."""
+    shift = x.scale - dp
+    sig = abs(x.significand)
+    return sig // 10 ** shift if shift >= 0 else sig * 10 ** -shift
 
 
 def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
-    """(signed, absolute) percentage error: signed = (1 - x/ref) * 100."""
-    ctx = ref.ctx
-    signed = fx_mul(fx_sub(_ONE, fx_div(x, ref.value, ctx), ctx), _HUNDRED, ctx)
+    """(signed, absolute) percentage error: signed = (1 - x/ref) * 100.
+
+    x/ref is rounded half-even at the context scale S; the rest is exact
+    there, so signed = 100 * (10**S - round(x * 10**S / ref)) * 10**-S.
+    The reference is positive (reference_pi keeps it in (3, 4)).
+    """
+    scale = ref.ctx.scale
+    r = ref.value
+    num, den = x.significand, r.significand
+    e = scale + r.scale - x.scale
+    if e >= 0:
+        num *= 10 ** e
+    else:
+        den *= 10 ** -e
+    signed = BigFixed(100 * (10 ** scale - _div_half_even(num, den)), scale)
     return signed, abs(signed)
 
 
 def digits_correct(x: BigFixed, ref: ReferencePi) -> int:
-    """Matching leading fractional digits, both truncated at working_dp."""
-    dp = ref.ctx.working_dp
-    xs = fx_truncate_string(x, dp)
-    rs = fx_truncate_string(ref.value, dp)
-    xi, _, xf = xs.partition(".")
-    ri, _, rf = rs.partition(".")
-    if xi != ri:
+    """Matching leading fractional digits, both truncated at working_dp.
+
+    0 when the integer parts differ, which includes any negative x: the
+    reference is positive.
+    """
+    if x.significand < 0:
         return 0
-    count = 0
-    for a, b in zip(xf, rf):
-        if a != b:
-            break
-        count += 1
-    return count
+    dp = ref.ctx.working_dp
+    a, b = _truncate(x, dp), ref._truncated
+    if a == b:
+        return dp
+    # k is the fewest trailing digits whose removal makes a and b agree.
+    # It is at least the digit count of |a - b|, and more when a carry runs
+    # through the difference (3.199 against 3.200).
+    k = len(str(abs(a - b)))
+    while k <= dp and a // 10 ** k != b // 10 ** k:
+        k += 1
+    return max(dp - k, 0)
 
 
 @dataclass(frozen=True)
@@ -152,8 +177,12 @@ def run(
     schedule: Schedule,
     ctx: PrecisionCtx,
     ref: ReferencePi | None = None,
-) -> list[RunRecord]:
-    """One incremental pass, sampling the generator at each scheduled n."""
+) -> Iterator[RunRecord]:
+    """One incremental pass, yielding a record at each scheduled n.
+
+    The arguments are checked, and the reference built, when run is called;
+    the records are computed as they are taken.
+    """
     method = MethodId(method)
     if ref is None:
         ref = reference_pi(ctx)
@@ -162,26 +191,38 @@ def run(
         raise ValueError(
             f"{method.value} is defined for n >= {state.min_index}"
         )
-    records = []
+    return _records(method, state, schedule, ctx, ref)
+
+
+def _records(
+    method: MethodId,
+    state,
+    schedule: Schedule,
+    ctx: PrecisionCtx,
+    ref: ReferencePi,
+) -> Iterator[RunRecord]:
+    # The clock runs only while this body does, so the time a consumer
+    # spends between records is not in elapsed_ns.
+    elapsed = 0
     start = time.perf_counter_ns()
     for target in schedule:
         state.advance_to(target)
         value = state.value()
-        elapsed = time.perf_counter_ns() - start
+        sampled = elapsed + time.perf_counter_ns() - start
         signed, absolute = pct_error(value, ref)
-        records.append(
-            RunRecord(
-                method=method,
-                n=target,
-                value=value,
-                signed_err_pct=signed,
-                abs_err_pct=absolute,
-                digits_correct=digits_correct(value, ref),
-                elapsed_ns=elapsed,
-                working_dp=ctx.working_dp,
-            )
+        record = RunRecord(
+            method=method,
+            n=target,
+            value=value,
+            signed_err_pct=signed,
+            abs_err_pct=absolute,
+            digits_correct=digits_correct(value, ref),
+            elapsed_ns=sampled,
+            working_dp=ctx.working_dp,
         )
-    return records
+        elapsed += time.perf_counter_ns() - start
+        yield record
+        start = time.perf_counter_ns()
 
 
 # The source study's five pairwise comparisons, addressable by name.
@@ -224,7 +265,7 @@ def compare(
         raise ValueError("thresholds must be positive")
 
     ref = reference_pi(ctx)
-    records = {m: run(m, schedule, ctx, ref) for m in methods}
+    records = {m: list(run(m, schedule, ctx, ref)) for m in methods}
 
     crossings = {}
     for m in methods:

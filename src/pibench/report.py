@@ -82,16 +82,18 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_line(r: RunRecord) -> str:
+    """One CSV row of a record, with its newline."""
+    return (
+        f"{r.method.value},{r.n},{r.value_str(r.working_dp)},"
+        f"{fx_to_string(r.signed_err_pct, ERR_DP)},"
+        f"{fx_to_string(r.abs_err_pct, ERR_DP)},"
+        f"{r.digits_correct},{r.elapsed_ns}\n"
+    )
+
+
 def render_csv(records: list[RunRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.method.value},{r.n},{r.value_str(r.working_dp)},"
-            f"{fx_to_string(r.signed_err_pct, ERR_DP)},"
-            f"{fx_to_string(r.abs_err_pct, ERR_DP)},"
-            f"{r.digits_correct},{r.elapsed_ns}"
-        )
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + "".join(map(csv_line, records))
 
 
 def render_plot_data(records: list[RunRecord]) -> str:

@@ -68,20 +68,20 @@ def table_runs():
     p13 = TABLE_PRESETS[1]
     ref_large = reference_pi(p13.ctx)
     start = time.perf_counter()
-    out[1] = run(MethodId.WALLIS, p13.schedule, p13.ctx, ref_large)
+    out[1] = list(run(MethodId.WALLIS, p13.schedule, p13.ctx, ref_large))
     out["table1_seconds"] = time.perf_counter() - start
-    out[2] = run(MethodId.LEIBNIZ, p13.schedule, p13.ctx, ref_large)
-    out[3] = run(MethodId.NEWTON_ARCSINE, p13.schedule, p13.ctx, ref_large)
+    out[2] = list(run(MethodId.LEIBNIZ, p13.schedule, p13.ctx, ref_large))
+    out[3] = list(run(MethodId.NEWTON_ARCSINE, p13.schedule, p13.ctx, ref_large))
 
     p45 = TABLE_PRESETS[4]
     ref_small = reference_pi(p45.ctx)
-    out[4] = run(MethodId.EULER_CF, p45.schedule, p45.ctx, ref_small)
-    out[5] = run(MethodId.VIETE, p45.schedule, p45.ctx, ref_small)
+    out[4] = list(run(MethodId.EULER_CF, p45.schedule, p45.ctx, ref_small))
+    out[5] = list(run(MethodId.VIETE, p45.schedule, p45.ctx, ref_small))
 
     p67 = TABLE_PRESETS[6]
     ref_zeta = reference_pi(p67.ctx)
     out[6] = {
-        m: run(m, p67.schedule, p67.ctx, ref_zeta) for m in p67.methods
+        m: list(run(m, p67.schedule, p67.ctx, ref_zeta)) for m in p67.methods
     }
     return out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pibench.cli import (
@@ -135,6 +137,48 @@ class TestMainExitCodes:
         text = path.read_text()
         assert text.startswith(CSV_HEADER)
         assert capsys.readouterr().out == ""
+
+
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        from pibench import cli
+
+        def no_run(*args, **kwargs):
+            pytest.fail("run was called although --out cannot be written")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["run", "--method", "wallis", "--schedule", "5",
+                     "--format", "csv", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"pibench: cannot write {path}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_reference_failure_leaves_out_alone(self, tmp_path, capsys):
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_text("earlier output\n")
+        for path in (kept, fresh):
+            assert main(["run", "--method", "wallis", "--schedule", "5",
+                         "--reference", "2.9", "--out", str(path)]) == 2
+        assert kept.read_text() == "earlier output\n"
+        assert not fresh.exists()
+        capsys.readouterr()
+
+    def test_csv_run_memory_is_bounded(self, tmp_path):
+        # A CSV run writes each record as it is computed and keeps none, so
+        # its peak grows only with the schedule (about 82 B a point), not
+        # with records (about 0.8 kB each when they were all kept).
+        peaks = {}
+        for n in (5_000, 50_000):
+            argv = ["run", "--method", "leibniz", "--schedule", f"1:{n}:1",
+                    "--format", "csv", "--out", str(tmp_path / "x.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[50_000] - peaks[5_000]) / 45_000 < 200, peaks
 
 
 class TestSelftestCommand:

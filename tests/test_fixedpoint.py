@@ -241,6 +241,15 @@ class TestStrings:
         x = BigFixed(sig, scale)
         assert fx_parse(fx_to_string(x, x.scale)) == x
 
+    @given(st.integers(-10 ** 25, 10 ** 25), st.integers(0, 20), st.integers(0, 25))
+    @settings(max_examples=500)
+    def test_to_string_is_fx_round_printed(self, sig, scale, dp):
+        # The string of the BigFixed that fx_round gives, as it was first built.
+        r = fx_round(BigFixed(sig, scale), dp).significand
+        i, f = divmod(abs(r), 10 ** dp)
+        body = f"{i}.{f:0{dp}d}" if dp else str(i)
+        assert s(BigFixed(sig, scale), dp) == ("-" + body if r < 0 else body)
+
     def test_parse_rejects_junk(self):
         for bad in ("", "1e5", "1.2.3", "abc", "1,5", "."):
             with pytest.raises(ValueError):

@@ -1,6 +1,20 @@
-import pytest
+import time
+from functools import lru_cache
 
-from pibench.fixedpoint import BigFixed, PrecisionCtx, fx_parse, fx_to_string
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pibench.fixedpoint import (
+    BigFixed,
+    PrecisionCtx,
+    fx_div,
+    fx_mul,
+    fx_parse,
+    fx_sub,
+    fx_to_string,
+    fx_truncate_string,
+)
 from pibench.goldens import load as load_goldens
 from pibench.harness import (
     PAIRINGS,
@@ -63,6 +77,105 @@ class TestPctError:
         assert fx_to_string(absolute, 5) == "2.88781"
 
 
+def _pct_error_oracle(x, ref):
+    """pct_error as three context-rounded BigFixed operations, the way it
+    was first written: (1 - x/ref) * 100."""
+    ctx = ref.ctx
+    signed = fx_mul(fx_sub(BigFixed(1), fx_div(x, ref.value, ctx), ctx), BigFixed(100), ctx)
+    return signed, abs(signed)
+
+
+def _digits_correct_oracle(x, ref):
+    """digits_correct on the truncated decimal strings of x and ref."""
+    dp = ref.ctx.working_dp
+    xi, _, xf = fx_truncate_string(x, dp).partition(".")
+    ri, _, rf = fx_truncate_string(ref.value, dp).partition(".")
+    if xi != ri:
+        return 0
+    count = 0
+    for a, b in zip(xf, rf):
+        if a != b:
+            break
+        count += 1
+    return count
+
+
+PI_50 = "3.14159265358979323846264338327950288419716939937510"
+
+
+@lru_cache(maxsize=None)
+def _ref(working, guard, literal):
+    return reference_pi(PrecisionCtx(working, guard), PI_50 if literal else None)
+
+
+@st.composite
+def _metric_cases(draw):
+    """(x, ref): computed references (which need working_dp >= 13 to pass
+    their 15-digit check) and the 50-digit literal, kept at its own scale
+    above the context's; x of either sign at scales above and below the
+    context's, far from pi or near it."""
+    literal = draw(st.booleans())
+    working = draw(st.integers(1 if literal else 13, 30))
+    ref = _ref(working, draw(st.integers(0, 15)), literal)
+    # Up to beyond ctx.scale + ref.scale, where pct_error scales ref up
+    # instead of x.
+    scale = draw(st.integers(0, ref.ctx.scale + ref.value.scale + 20))
+    if draw(st.booleans()):
+        sig = draw(st.integers(-10 ** (scale + 2), 10 ** (scale + 2)))
+    else:
+        near = fx_parse(PI_50)
+        sig = near.significand * 10 ** scale // 10 ** near.scale
+        sig += draw(st.integers(-10 ** min(scale, 6), 10 ** min(scale, 6)))
+        if draw(st.booleans()):
+            sig = -sig
+    return BigFixed(sig, scale), ref
+
+
+class TestIntegerMetrics:
+    """pct_error and digits_correct on integers, bit for bit against the
+    BigFixed and string forms kept above as oracles."""
+
+    @given(_metric_cases())
+    @settings(max_examples=1000, deadline=None)
+    def test_pct_error_matches_oracle(self, case):
+        x, ref = case
+        got = pct_error(x, ref)
+        want = _pct_error_oracle(x, ref)
+        assert [(v.significand, v.scale) for v in got] == [
+            (v.significand, v.scale) for v in want
+        ]
+
+    @given(_metric_cases())
+    @settings(max_examples=1000, deadline=None)
+    def test_digits_correct_matches_oracle(self, case):
+        x, ref = case
+        assert digits_correct(x, ref) == _digits_correct_oracle(x, ref)
+
+    def test_literal_reference_keeps_its_digits(self, ctx15):
+        ref = _ref(15, 12, True)
+        assert ref.value.scale == 50 > ctx15.scale
+        x = fx_parse("3.002175954556907")
+        assert pct_error(x, ref) == _pct_error_oracle(x, ref)
+
+    @pytest.mark.parametrize("q_offset", [7, 8])
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_half_way_quotient_rounds_half_even(self, ref15, q_offset, nudge):
+        # x/ref is q + 1/2 units of the context scale S, exactly or nudged by
+        # one unit of x, with x three digits finer than S + ref.scale: below
+        # the tie rounds to q, above it to q + 1, on it to the even one.
+        S, r, k = ref15.ctx.scale, ref15.value, 3
+        q = 10 ** S - q_offset
+        tie = (2 * q + 1) * r.significand * 10 ** k // 2
+        x = BigFixed(tie + nudge, S + r.scale + k)
+        rounded = {-1: q, 1: q + 1, 0: q + q % 2}[nudge]
+        assert pct_error(x, ref15)[0] == BigFixed(100 * (10 ** S - rounded), S)
+        assert pct_error(x, ref15) == _pct_error_oracle(x, ref15)
+
+    def test_zero(self, ref15):
+        assert pct_error(BigFixed(0), ref15) == (BigFixed(100), BigFixed(100))
+        assert digits_correct(BigFixed(0), ref15) == 0
+
+
 class TestDigitsCorrect:
     def test_reference_itself(self, ref15):
         assert digits_correct(ref15.value, ref15) == 15
@@ -100,12 +213,12 @@ class TestSchedule:
 
 class TestRun:
     def test_zeta6_single(self, ctx14, ref14):
-        recs = run(MethodId.ZETA6, Schedule((5,)), ctx14, ref14)
+        recs = list(run(MethodId.ZETA6, Schedule((5,)), ctx14, ref14))
         assert len(recs) == 1
         assert recs[0].value_str(14) == "3.14157300346359"
 
     def test_leibniz_zero(self, ctx15, ref15):
-        recs = run(MethodId.LEIBNIZ, Schedule((0,)), ctx15, ref15)
+        recs = list(run(MethodId.LEIBNIZ, Schedule((0,)), ctx15, ref15))
         assert recs[0].value == BigFixed(4)
         assert recs[0].digits_correct == 0
 
@@ -133,6 +246,14 @@ class TestRun:
             recs = run(method, sched, ctx15, ref15)
             digits = [r.digits_correct for r in recs]
             assert digits == sorted(digits)
+
+    def test_elapsed_leaves_out_consumer_time(self, ctx15, ref15):
+        elapsed = [0]
+        for r in run(MethodId.LEIBNIZ, Schedule((1, 2, 3, 4, 5)), ctx15, ref15):
+            elapsed.append(r.elapsed_ns)
+            time.sleep(0.02)
+        steps = [b - a for a, b in zip(elapsed, elapsed[1:])]
+        assert all(0 <= s < 20_000_000 for s in steps), steps
 
     def test_guard_sufficiency(self, ref15):
         sched = Schedule(tuple(range(5, 101, 5)))

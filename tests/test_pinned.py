@@ -32,3 +32,16 @@ def test_hiprec_compare_digest(capsys):
     argv = ["compare", "--methods", "viete,eulercf,zeta4,zeta8",
             "--schedule", "1:400:1", "--dp", "150", "--format", "md"]
     assert _stdout_sha256(capsys, argv) == PINNED["hiprec-dense"]["400"]
+
+
+def test_long_schedule_csv_digest(tmp_path, capsys):
+    # The benchmark's long-schedule workload at stop 100000, streamed to a
+    # file. elapsed_ns, the last column, is a timing: it is cut off before
+    # hashing, as perfbench/run.py does.
+    out = tmp_path / "long-schedule.csv"
+    assert main(["run", "--method", "leibniz", "--schedule", "1:100000:1",
+                 "--dp", "15", "--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = out.read_bytes().splitlines(keepends=True)
+    stripped = b"".join(ln.rsplit(b",", 1)[0] + b"\n" for ln in lines)
+    assert hashlib.sha256(stripped).hexdigest() == PINNED["long-schedule"]["100000"]

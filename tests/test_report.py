@@ -15,7 +15,7 @@ from pibench.report import (
 
 @pytest.fixture(scope="module")
 def wallis_records(ctx15, ref15):
-    return run(MethodId.WALLIS, Schedule((5, 10, 15)), ctx15, ref15)
+    return list(run(MethodId.WALLIS, Schedule((5, 10, 15)), ctx15, ref15))
 
 
 @pytest.fixture(scope="module")
