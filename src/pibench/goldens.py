@@ -17,6 +17,8 @@ string. The selftest recomputes every table and checks:
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -175,22 +177,116 @@ def _quick_invariants() -> list:
     return failures
 
 
+def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
+    """Recompute one table; (audit lines, divergent cells, mismatches)."""
+    spec = TableSpec.for_table(tid)
+    records = {(r.method.value, r.n): r for r in run_table(tid)}
+    lines = []
+    divergent = bad = 0
+    for cell in _cells(tid, table):
+        computed = spec.cell(records[cell.method, cell.n], cell.column)
+        d, m = _check_cell(lines, cell, computed)
+        divergent += d
+        bad += m
+    return lines, divergent, bad
+
+
+# Table 1's Wallis chain is the longest audit, and it cannot be split: each
+# factor rounds the previous product. So one child audits it while the
+# parent audits the rest, and more processes would not finish sooner.
+FORKED_TABLE = 1
+
+
+def _send_audit(fd: int, tid: int, table: dict) -> int:
+    """In the child: write the audit as JSON, or the error text, to fd.
+
+    Returns the exit status, 0 for an audit and 1 for an error.
+    """
+    try:
+        payload, status = json.dumps(_audit_table(tid, table)), 0
+    except Exception as exc:  # the parent raises it, naming the table
+        payload, status = f"{type(exc).__name__}: {exc}", 1
+    with open(fd, "w", encoding="utf-8") as f:
+        f.write(payload)
+    return status
+
+
+class _ForkedAudit:
+    """One table's audit, running in a forked child process.
+
+    The child sends its result back through a pipe and leaves through
+    os._exit on every path, so it never returns into the caller's stack and
+    never flushes buffers it inherited. It writes nothing to stdout.
+    """
+
+    def __init__(self, tid: int, table: dict):
+        self.tid = tid
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                status = _send_audit(write_fd, tid, table)
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = open(read_fd, encoding="utf-8")
+
+    def result(self) -> tuple[list, int, int]:
+        """Wait for the child; its audit, or RuntimeError if it failed."""
+        payload = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(
+                f"table {self.tid} audit failed in its child process:"
+                f" {payload or 'no output'}"
+            )
+        lines, divergent, bad = json.loads(payload)
+        return lines, divergent, bad
+
+    def close(self) -> None:
+        """Kill and reap the child unless result() has reaped it."""
+        if self.pid is not None:
+            import signal  # only on this path; it costs set-up time
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
+
+
 def selftest() -> SelftestReport:
     tables = load()
+    # Forking while other threads run could copy a lock one of them holds.
+    forked = None
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        forked = _ForkedAudit(FORKED_TABLE, tables[str(FORKED_TABLE)])
+    audits = {}
+    try:
+        for tid in TABLE_PRESETS:
+            if forked is None or tid != forked.tid:
+                audits[tid] = _audit_table(tid, tables[str(tid)])
+        failures = _quick_invariants()
+        if forked is not None:
+            audits[forked.tid] = forked.result()
+    finally:
+        if forked is not None:
+            forked.close()
+
     lines = []
-    divergent = 0
-    bad = 0
-
+    divergent = bad = 0
     for tid in TABLE_PRESETS:
-        spec = TableSpec.for_table(tid)
-        records = {(r.method.value, r.n): r for r in run_table(tid)}
-        for cell in _cells(tid, tables[str(tid)]):
-            computed = spec.cell(records[cell.method, cell.n], cell.column)
-            d, m = _check_cell(lines, cell, computed)
-            divergent += d
-            bad += m
-
-    failures = _quick_invariants()
+        table_lines, d, m = audits[tid]
+        lines.extend(table_lines)
+        divergent += d
+        bad += m
     lines.extend(failures)
     bad += len(failures)
 

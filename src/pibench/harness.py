@@ -57,9 +57,10 @@ def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
     """Reference value of pi at the context scale.
 
     Computed mode sums the arcsine series until two successive partial
-    sums agree to working_dp + 2 digits, then validates the first 15
-    fractional digits against the known constant. Literal mode validates
-    and wraps a caller-supplied decimal string.
+    sums agree to max(working_dp, 13) + 2 digits, then validates the first
+    15 fractional digits against the known constant and rounds to the
+    context scale. Literal mode validates and wraps a caller-supplied
+    decimal string.
     """
     if literal is not None:
         v = fx_parse(literal)
@@ -70,15 +71,15 @@ def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
             v = fx_round(v, ctx.scale)
         return ReferencePi(v, "user-literal", ctx)
 
-    # Stationarity is judged at working_dp + 2, which needs at least that
-    # many internal digits regardless of the caller's guard setting.
-    inner = ctx
-    if inner.guard_dp < 5:
-        inner = PrecisionCtx(ctx.working_dp, 5)
-    state = NewtonArcsineState(inner)
-    agree_dp = ctx.working_dp + 2
+    # Stationarity is judged at working + 2 digits, which needs at least
+    # that many internal digits regardless of the caller's guard setting.
+    # The 15-digit check needs working >= 13: a sum stationary at fewer
+    # digits can still be off in the 15th.
+    working = max(ctx.working_dp, 13)
+    state = NewtonArcsineState(PrecisionCtx(working, max(ctx.guard_dp, 5)))
+    agree_dp = working + 2
     prev = None
-    for _ in range(4 * ctx.working_dp + 64):
+    for _ in range(4 * working + 64):
         state.step()
         cur = state.value()
         if prev is not None and fx_round(cur, agree_dp) == fx_round(prev, agree_dp):

@@ -1,7 +1,12 @@
+import hashlib
+import os
+import threading
+import time
 import tracemalloc
 
 import pytest
 
+import pibench.goldens as goldens
 from pibench.cli import (
     UsageError,
     main,
@@ -102,6 +107,12 @@ class TestMainExitCodes:
         assert [row[1] for row in rows] == ["5", "10"]
         assert rows[0][2] == "3.002175954556907"
 
+    def test_run_below_13_dp(self, capsys):
+        assert main(["run", "--method", "wallis", "--schedule", "5",
+                     "--dp", "12", "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == "3.002175954557"
+
     def test_run_plot(self, capsys):
         assert main(["run", "--method", "viete", "--schedule", "1:5:1",
                      "--format", "plot"]) == 0
@@ -181,30 +192,95 @@ class TestMainExitCodes:
         assert (peaks[50_000] - peaks[5_000]) / 45_000 < 200, peaks
 
 
+@pytest.fixture
+def small_selftest(monkeypatch):
+    """Shrink Tables 1-3 to n <= 100, so a full selftest takes milliseconds."""
+    from dataclasses import replace
+
+    from pibench.harness import TABLE_PRESETS, Schedule
+
+    goldens.load.cache_clear()
+    data = goldens.load()
+    small = Schedule(tuple(range(5, 101, 5)))
+    for tid in (1, 2, 3):
+        preset = replace(TABLE_PRESETS[tid], schedule=small, guard_dp=12)
+        monkeypatch.setitem(TABLE_PRESETS, tid, preset)
+        rows = [r for r in data[str(tid)]["rows"] if r["n"] <= 100]
+        monkeypatch.setitem(data[str(tid)], "rows", rows)
+    yield
+    goldens.load.cache_clear()
+
+
+# The shrunk selftest's report text, forked or not: 101 divergent cells.
+SMALL_SELFTEST_SHA256 = "094b7159c2c30e33dc06abbc42c4d49880860f41d8089adcff0ae10551ec0776"
+
+
 class TestSelftestCommand:
-    def test_selftest_quick_paths(self, monkeypatch, capsys):
-        # Full selftest sweeps three tables to n=10^7; keep the CLI test
-        # fast by shrinking the large schedule.
-        from dataclasses import replace
+    @pytest.mark.parametrize("fork", ["forked", "in-process"])
+    def test_selftest_quick_paths(self, small_selftest, monkeypatch, fork):
+        forks = []
+        if fork == "forked":
+            real_fork = os.fork
 
-        import pibench.goldens as goldens
-        from pibench.harness import TABLE_PRESETS, Schedule
+            def counted_fork():
+                forks.append(1)
+                return real_fork()
 
-        goldens.load.cache_clear()
-        data = goldens.load()
-        small = Schedule(tuple(range(5, 101, 5)))
-        for tid in (1, 2, 3):
-            preset = replace(TABLE_PRESETS[tid], schedule=small, guard_dp=12)
-            monkeypatch.setitem(TABLE_PRESETS, tid, preset)
-            rows = [r for r in data[str(tid)]["rows"] if r["n"] <= 100]
-            monkeypatch.setitem(data[str(tid)], "rows", rows)
+            monkeypatch.setattr(os, "fork", counted_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
 
         report = goldens.selftest()
-        goldens.load.cache_clear()
+        assert len(forks) == (fork == "forked")
+        assert (report.ok, report.expected_divergent, report.mismatches) == (True, 101, 0)
+        digest = hashlib.sha256(report.text().encode()).hexdigest()
+        assert digest == SMALL_SELFTEST_SHA256
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_failure_raises_in_parent(self, small_selftest, monkeypatch):
+        real_audit = goldens._audit_table
+
+        def audit(tid, table):
+            if tid == 1:
+                raise ValueError("broken on purpose")
+            return real_audit(tid, table)
+
+        monkeypatch.setattr(goldens, "_audit_table", audit)
+        with pytest.raises(RuntimeError, match="table 1 .*ValueError: broken on purpose"):
+            goldens.selftest()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_parent_interrupt_kills_the_child(self, small_selftest, monkeypatch):
+        def audit(tid, table):
+            if tid == 1:
+                time.sleep(60)  # still running when the parent is interrupted
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(goldens, "_audit_table", audit)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            goldens.selftest()
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_while_another_thread_runs(self, small_selftest, monkeypatch):
+        def no_fork():
+            pytest.fail("selftest forked while another thread was running")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            report = goldens.selftest()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert report.ok
-        assert report.expected_divergent >= 4
-        lines = report.text()
-        assert "EXPECTED-DIVERGENT" in lines
 
     def test_mismatch_exit_3(self, monkeypatch, capsys):
         from pibench import cli

@@ -1,6 +1,7 @@
 import time
 from functools import lru_cache
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,19 @@ class TestReferencePi:
     def test_cross_check_against_zeta8(self, ctx15, ref15):
         z = zeta_pi(MethodId.ZETA8, 200, ctx15)
         assert fx_to_string(z, 15) == fx_to_string(ref15.value, 15)
+
+    def test_every_small_context_passes_within_an_ulp(self):
+        # The sum is carried at ctx.scale but stops once it is stationary at
+        # max(working_dp, 13) + 2 digits; it is within 1 ulp of pi there.
+        for working in range(1, 31):
+            for guard in range(16):
+                ctx = PrecisionCtx(working, guard)
+                ref = reference_pi(ctx)
+                assert ref.value.scale == ctx.scale
+                dp = min(ctx.scale, max(working, 13) + 2)
+                with mpmath.workdps(ctx.scale + 20):
+                    x = mpmath.mpf(ref.value.significand) / 10 ** ctx.scale
+                    assert abs(x - mpmath.pi) * 10 ** dp <= 1, (working, guard)
 
     def test_literal_ok(self, ctx15):
         ref = reference_pi(ctx15, "3.1415926535897932384626433832795028841")
