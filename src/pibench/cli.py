@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFERENCE = 2
 EXIT_MISMATCH = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for `yes | head`
 
 
 class UsageError(ValueError):
@@ -54,8 +56,9 @@ class CliConfig:
 
 
 def parse_schedule_expr(expr: str) -> Schedule:
-    """Comma list of `N` or `start:stop:step`, inclusive of stop."""
-    points = set()
+    """Comma list of `N` or `start:stop:step`, inclusive of stop. Each item
+    stays a range, so no expression is expanded."""
+    runs = []
     for item in expr.split(","):
         item = item.strip()
         if not item:
@@ -70,14 +73,15 @@ def parse_schedule_expr(expr: str) -> Schedule:
                 raise UsageError(f"non-integer range bound in {item!r}")
             if step_ < 1 or stop < start:
                 raise UsageError(f"bad range {item!r}")
-            points.update(range(start, stop + 1, step_))
+            runs.append(range(start, stop + 1, step_))
         else:
             try:
-                points.add(int(item))
+                n = int(item)
             except ValueError:
                 raise UsageError(f"non-integer schedule point {item!r}")
+            runs.append(range(n, n + 1))
     try:
-        return Schedule(tuple(sorted(points)))
+        return Schedule(*runs)
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -187,7 +191,7 @@ def parse_args(argv) -> CliConfig:
         cfg.out = ns.out
     for m in cfg.methods:
         low = make_state(m, PrecisionCtx(1, 0)).min_index
-        if cfg.schedule.points[0] < low:
+        if cfg.schedule.first < low:
             raise UsageError(f"{m.value} is defined for n >= {low}")
     return cfg
 
@@ -281,6 +285,11 @@ def main(argv=None) -> int:
     except ReferenceIntegrityError as e:
         print(f"pibench: reference integrity: {e}", file=sys.stderr)
         return EXIT_REFERENCE
+    except BrokenPipeError:
+        # The reader closed stdout early (`pibench run ... | head`). Point
+        # stdout at devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .fixedpoint import (
     BigFixed,
@@ -37,12 +38,35 @@ class ReferencePi:
     value: BigFixed
     provenance: str  # "computed" | "user-literal"
     ctx: PrecisionCtx
+    _terms_by_scale: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def _unit(self) -> int:
+        """10**ctx.scale, a ratio of 1 at the context scale."""
+        return 10 ** self.ctx.scale
+
+    def _terms(self, scale: int) -> tuple[int, int, int, int]:
+        """The powers of ten the metrics need for a sample of this scale,
+        computed once per scale: (a, b) with x/value at the context scale
+        equal to x.significand * a / b, and (c, d) with |x| * 10**working_dp
+        truncated equal to |x.significand| * c // d."""
+        terms = self._terms_by_scale.get(scale)
+        if terms is None:
+            e = self.ctx.scale + self.value.scale - scale
+            t = scale - self.ctx.working_dp
+            terms = (10 ** max(e, 0), self.value.significand * 10 ** max(-e, 0),
+                     10 ** max(-t, 0), 10 ** max(t, 0))
+            self._terms_by_scale[scale] = terms
+        return terms
 
     @cached_property
     def _truncated(self) -> int:
         """The value times 10**working_dp, truncated: what digits_correct
         compares every sample with."""
-        return _truncate(self.value, self.ctx.working_dp)
+        _, _, c, d = self._terms(self.value.scale)
+        return self.value.significand * c // d
 
 
 def _check_prefix(value: BigFixed, what: str) -> None:
@@ -89,13 +113,6 @@ def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
     raise ReferenceIntegrityError("reference series failed to become stationary")
 
 
-def _truncate(x: BigFixed, dp: int) -> int:
-    """|x| * 10**dp truncated to an integer."""
-    shift = x.scale - dp
-    sig = abs(x.significand)
-    return sig // 10 ** shift if shift >= 0 else sig * 10 ** -shift
-
-
 def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
     """(signed, absolute) percentage error: signed = (1 - x/ref) * 100.
 
@@ -103,16 +120,11 @@ def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
     there, so signed = 100 * (10**S - round(x * 10**S / ref)) * 10**-S.
     The reference is positive (reference_pi keeps it in (3, 4)).
     """
-    scale = ref.ctx.scale
-    r = ref.value
-    num, den = x.significand, r.significand
-    e = scale + r.scale - x.scale
-    if e >= 0:
-        num *= 10 ** e
-    else:
-        den *= 10 ** -e
-    signed = BigFixed(100 * (10 ** scale - _div_half_even(num, den)), scale)
-    return signed, abs(signed)
+    a, b, _, _ = ref._terms(x.scale)
+    signed = BigFixed(
+        100 * (ref._unit - _div_half_even(x.significand * a, b)), ref.ctx.scale
+    )
+    return signed, signed if signed.significand >= 0 else -signed
 
 
 def digits_correct(x: BigFixed, ref: ReferencePi) -> int:
@@ -124,42 +136,78 @@ def digits_correct(x: BigFixed, ref: ReferencePi) -> int:
     if x.significand < 0:
         return 0
     dp = ref.ctx.working_dp
-    a, b = _truncate(x, dp), ref._truncated
+    _, _, c, d = ref._terms(x.scale)
+    a, b = x.significand * c // d, ref._truncated
     if a == b:
         return dp
     # k is the fewest trailing digits whose removal makes a and b agree.
     # It is at least the digit count of |a - b|, and more when a carry runs
     # through the difference (3.199 against 3.200).
     k = len(str(abs(a - b)))
-    while k <= dp and a // 10 ** k != b // 10 ** k:
+    p = 10 ** k
+    while k <= dp and a // p != b // p:
         k += 1
+        p *= 10
     return max(dp - k, 0)
 
 
-@dataclass(frozen=True)
 class Schedule:
-    points: tuple[int, ...]
+    """Sample indices: the sorted union, without repeats, of one or more
+    runs. A run is a range with a positive step or a strictly increasing
+    sequence, non-empty and non-negative. Ranges are kept as ranges, so a
+    schedule costs the same memory at any length, and it can be iterated
+    any number of times."""
 
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
+    __slots__ = ("_runs",)
+
+    def __init__(self, *runs: range | Iterable[int]) -> None:
+        if not runs:
             raise ValueError("schedule must be non-empty")
-        if any(n < 0 for n in pts):
-            raise ValueError("schedule indices must be non-negative")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("schedule must be strictly increasing")
+        checked = []
+        for points in runs:
+            if isinstance(points, range):
+                if points.step < 1:
+                    raise ValueError("schedule must be strictly increasing")
+            else:
+                points = tuple(points)
+                if any(b <= a for a, b in zip(points, points[1:])):
+                    raise ValueError("schedule must be strictly increasing")
+            if not points:  # never len(): a range may exceed sys.maxsize
+                raise ValueError("schedule must be non-empty")
+            if points[0] < 0:
+                raise ValueError("schedule indices must be non-negative")
+            checked.append(points)
+        self._runs = tuple(checked)
 
-    def __iter__(self):
-        return iter(self.points)
+    @property
+    def first(self) -> int:
+        return min(points[0] for points in self._runs)
 
     @property
     def max_n(self) -> int:
-        return self.points[-1]
+        return max(points[-1] for points in self._runs)
+
+    def __iter__(self) -> Iterator[int]:
+        if len(self._runs) == 1:
+            return iter(self._runs[0])
+        return _distinct(self._runs)
+
+    def __repr__(self) -> str:
+        return f"Schedule{self._runs!r}"
 
 
-@dataclass(frozen=True)
-class RunRecord:
+def _distinct(runs) -> Iterator[int]:
+    """The sorted union of increasing runs, each point once."""
+    import heapq  # not at start-up: a one-run schedule never merges
+
+    last = None
+    for n in heapq.merge(*runs):
+        if n != last:
+            yield n
+            last = n
+
+
+class RunRecord(NamedTuple):
     method: MethodId
     n: int
     value: BigFixed
@@ -188,7 +236,7 @@ def run(
     if ref is None:
         ref = reference_pi(ctx)
     state = make_state(method, ctx)
-    if schedule.points[0] < state.min_index:
+    if schedule.first < state.min_index:
         raise ValueError(
             f"{method.value} is defined for n >= {state.min_index}"
         )
@@ -204,26 +252,22 @@ def _records(
 ) -> Iterator[RunRecord]:
     # The clock runs only while this body does, so the time a consumer
     # spends between records is not in elapsed_ns.
+    advance_to, value_of, clock = state.advance_to, state.value, time.perf_counter_ns
+    working_dp = ctx.working_dp
     elapsed = 0
-    start = time.perf_counter_ns()
+    start = clock()
     for target in schedule:
-        state.advance_to(target)
-        value = state.value()
-        sampled = elapsed + time.perf_counter_ns() - start
+        advance_to(target)
+        value = value_of()
+        sampled = elapsed + clock() - start
         signed, absolute = pct_error(value, ref)
         record = RunRecord(
-            method=method,
-            n=target,
-            value=value,
-            signed_err_pct=signed,
-            abs_err_pct=absolute,
-            digits_correct=digits_correct(value, ref),
-            elapsed_ns=sampled,
-            working_dp=ctx.working_dp,
+            method, target, value, signed, absolute,
+            digits_correct(value, ref), sampled, working_dp,
         )
-        elapsed += time.perf_counter_ns() - start
+        elapsed += clock() - start
         yield record
-        start = time.perf_counter_ns()
+        start = clock()
 
 
 # The source study's five pairwise comparisons, addressable by name.
@@ -302,9 +346,11 @@ class TablePreset:
         return PrecisionCtx(self.working_dp, self.guard_dp)
 
 
+# One run each: a schedule of several runs merges them with heapq, whose
+# import would add ≈50 kB to every selftest.
 _SCHED_LARGE = Schedule(tuple(range(5, 101, 5)) + (10**3, 10**4, 10**5, 10**6, 10**7))
 _SCHED_SMALL = Schedule(tuple(range(1, 11)) + tuple(range(15, 101, 5)))
-_SCHED_MID = Schedule(tuple(range(5, 101, 5)))
+_SCHED_MID = Schedule(range(5, 101, 5))
 
 TABLE_PRESETS = {
     1: TablePreset(1, (MethodId.WALLIS,), _SCHED_LARGE, 15, 17, 15),

@@ -82,12 +82,22 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _err_cells(r: RunRecord) -> tuple[str, str]:
+    """The signed and abs error cells of a record, from one rounding.
+
+    Half-even rounding is symmetric, so the abs cell is the signed one
+    without its '-'; a negative error that rounds to zero already prints
+    without one.
+    """
+    signed = fx_to_string(r.signed_err_pct, ERR_DP)
+    return signed, signed.lstrip("-")
+
+
 def csv_line(r: RunRecord) -> str:
     """One CSV row of a record, with its newline."""
+    signed, absolute = _err_cells(r)
     return (
-        f"{r.method.value},{r.n},{r.value_str(r.working_dp)},"
-        f"{fx_to_string(r.signed_err_pct, ERR_DP)},"
-        f"{fx_to_string(r.abs_err_pct, ERR_DP)},"
+        f"{r.method.value},{r.n},{r.value_str(r.working_dp)},{signed},{absolute},"
         f"{r.digits_correct},{r.elapsed_ns}\n"
     )
 
@@ -102,12 +112,13 @@ def render_plot_data(records: list[RunRecord]) -> str:
         return ""
     blocks = []
     for method, recs in _group(records).items():
-        for series, fmt in (
-            ("value", lambda r: r.value_str(r.working_dp)),
-            ("abs_err_pct", lambda r: fx_to_string(r.abs_err_pct, ERR_DP)),
-            ("signed_err_pct", lambda r: fx_to_string(r.signed_err_pct, ERR_DP)),
+        errs = [_err_cells(r) for r in recs]
+        for series, cells in (
+            ("value", [r.value_str(r.working_dp) for r in recs]),
+            ("abs_err_pct", [absolute for _, absolute in errs]),
+            ("signed_err_pct", [signed for signed, _ in errs]),
         ):
             lines = [f"# {method.value} {series}"]
-            lines.extend(f"{r.n} {fmt(r)}" for r in recs)
+            lines.extend(f"{r.n} {cell}" for r, cell in zip(recs, cells))
             blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

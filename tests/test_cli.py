@@ -1,36 +1,112 @@
 import hashlib
+import itertools
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import pibench
 import pibench.goldens as goldens
 from pibench.cli import (
+    EXIT_BROKEN_PIPE,
     UsageError,
     main,
     parse_args,
     parse_decimal_exp,
     parse_schedule_expr,
 )
-from pibench.fixedpoint import BigFixed
+from pibench.fixedpoint import BigFixed, PrecisionCtx, default_guard
+from pibench.harness import run
+from pibench.methods import MethodId
 from pibench.report import CSV_HEADER
+
+
+def expanded_schedule(expr: str) -> list[int]:
+    """The reference expansion of a schedule expression: every point of
+    every item, sorted, without repeats. UsageError where the parser must
+    raise it."""
+    points = set()
+    for item in expr.split(","):
+        item = item.strip()
+        if not item:
+            raise UsageError("empty item")
+        if ":" in item:
+            parts = item.split(":")
+            if len(parts) != 3:
+                raise UsageError("not start:stop:step")
+            try:
+                start, stop, step_ = (int(p) for p in parts)
+            except ValueError:
+                raise UsageError("non-integer bound")
+            if step_ < 1 or stop < start:
+                raise UsageError("bad range")
+            points.update(range(start, stop + 1, step_))
+        else:
+            try:
+                points.add(int(item))
+            except ValueError:
+                raise UsageError("non-integer point")
+    if not points or min(points) < 0:
+        raise UsageError("empty or negative")
+    return sorted(points)
+
+
+_bound = st.integers(-3, 40)
+_schedule_items = st.one_of(
+    _bound.map(str),
+    st.tuples(_bound, _bound, st.integers(0, 6)).map(lambda t: "%d:%d:%d" % t),
+    st.sampled_from(["", "x", "1:2", "1:x:1"]),
+)
 
 
 class TestScheduleExpr:
     def test_range_plus_point(self):
         sched = parse_schedule_expr("5:100:5,1000")
-        assert len(sched.points) == 21
-        assert sched.points[0] == 5 and sched.points[-1] == 1000
+        assert len(list(sched)) == 21
+        assert sched.first == 5 and sched.max_n == 1000
 
     def test_single_points(self):
-        assert parse_schedule_expr("1,2,10").points == (1, 2, 10)
+        assert list(parse_schedule_expr("1,2,10")) == [1, 2, 10]
 
     def test_malformed(self):
         for bad in ("", "5:100", "a:b:c", "5,,10", "10:5:1", "5:10:0"):
             with pytest.raises(UsageError):
                 parse_schedule_expr(bad)
+
+    @given(st.lists(_schedule_items, min_size=1, max_size=6).map(",".join))
+    def test_same_points_as_the_expansion(self, expr):
+        # Overlapping, unsorted and repeated items merge to the sorted
+        # points without repeats, on every pass.
+        try:
+            expected = expanded_schedule(expr)
+        except UsageError:
+            with pytest.raises(UsageError):
+                parse_schedule_expr(expr)
+            return
+        sched = parse_schedule_expr(expr)
+        assert list(sched) == expected
+        assert list(sched) == expected
+        assert (sched.first, sched.max_n) == (expected[0], expected[-1])
+
+    def test_a_billion_points_are_not_expanded(self):
+        tracemalloc.start()
+        try:
+            sched = parse_schedule_expr("0:1000000000:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert (sched.first, sched.max_n) == (0, 10**9)
+        ctx = PrecisionCtx(15, default_guard(sched.max_n))
+        records = run(MethodId.NEWTON_ARCSINE, sched, ctx)
+        assert [r.n for r in itertools.islice(records, 3)] == [0, 1, 2]
 
 
 class TestThresholds:
@@ -52,7 +128,7 @@ class TestParseArgs:
              "--dp", "15", "--format", "csv"]
         )
         assert cfg.command == "run"
-        assert len(cfg.schedule.points) == 21
+        assert len(list(cfg.schedule)) == 21
         assert cfg.fmt == "csv"
 
     def test_unknown_method(self):
@@ -176,20 +252,47 @@ class TestMainExitCodes:
         capsys.readouterr()
 
     def test_csv_run_memory_is_bounded(self, tmp_path):
-        # A CSV run writes each record as it is computed and keeps none, so
-        # its peak grows only with the schedule (about 82 B a point), not
-        # with records (about 0.8 kB each when they were all kept).
+        # A CSV run writes each record as it is computed and keeps none, and
+        # its schedule stays a range, so its peak does not grow with the
+        # points (it grew by 78 B a point while the schedule was expanded,
+        # and by about 0.8 kB while every record was kept). A first small
+        # run takes the one-time allocations out of the comparison.
+        def argv(n):
+            return ["run", "--method", "leibniz", "--schedule", f"1:{n}:1",
+                    "--format", "csv", "--out", str(tmp_path / "x.csv")]
+
+        assert main(argv(10)) == 0
         peaks = {}
         for n in (5_000, 50_000):
-            argv = ["run", "--method", "leibniz", "--schedule", f"1:{n}:1",
-                    "--format", "csv", "--out", str(tmp_path / "x.csv")]
             tracemalloc.start()
             try:
-                assert main(argv) == 0
+                assert main(argv(n)) == 0
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert (peaks[50_000] - peaks[5_000]) / 45_000 < 200, peaks
+        assert (peaks[50_000] - peaks[5_000]) / 45_000 < 8, peaks
+
+    def test_reader_closing_the_pipe_early(self, tmp_path):
+        # `pibench run ... | head`: the closed pipe ends the run with the
+        # documented code, and no traceback.
+        src = Path(pibench.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "pibench.cli", "run", "--method", "newton",
+                "--schedule", "0:1000000000:1", "--format", "csv"]
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+            try:
+                head = [proc.stdout.readline() for _ in range(4)]
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert head[0] == (CSV_HEADER + "\n").encode()
+        assert [line.split(b",")[1] for line in head[1:]] == [b"0", b"1", b"2"]
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert (tmp_path / "stderr").read_bytes() == b""
 
 
 @pytest.fixture

@@ -210,19 +210,29 @@ class TestSchedule:
         assert list(sched) == [1, 2, 10]
         assert sched.max_n == 10
 
+    def test_runs_merge(self):
+        sched = Schedule(range(4, 13, 4), (1, 2, 8), range(12, 13))
+        assert list(sched) == list(sched) == [1, 2, 4, 8, 12]
+        assert (sched.first, sched.max_n) == (1, 12)
+
+    def test_huge_range_is_not_expanded(self):
+        sched = Schedule(range(3, 10**30))
+        assert (sched.first, sched.max_n) == (3, 10**30 - 1)
+
     def test_empty(self):
-        with pytest.raises(ValueError):
-            Schedule(())
+        for runs in [(), ((),), (range(5, 5),), ((1, 2), range(0))]:
+            with pytest.raises(ValueError):
+                Schedule(*runs)
 
     def test_not_increasing(self):
-        with pytest.raises(ValueError):
-            Schedule((5, 5, 10))
-        with pytest.raises(ValueError):
-            Schedule((5, 3))
+        for run_ in [(5, 5, 10), (5, 3), range(10, 0, -1)]:
+            with pytest.raises(ValueError):
+                Schedule(run_)
 
     def test_negative(self):
-        with pytest.raises(ValueError):
-            Schedule((-1, 5))
+        for run_ in [(-1, 5), range(-1, 5)]:
+            with pytest.raises(ValueError):
+                Schedule(run_)
 
 
 class TestRun:
@@ -317,6 +327,23 @@ class TestCompare:
         for a, b in PAIRINGS.values():
             assert isinstance(a, MethodId) and isinstance(b, MethodId)
 
+    @pytest.mark.parametrize("schedule", [
+        Schedule(range(1, 11)),
+        Schedule(range(6, 11), range(1, 8, 2), (2, 4, 10)),
+    ])
+    def test_range_schedule_gives_the_tuple_records(self, ctx15, schedule):
+        # compare walks the schedule once per method.
+        methods = [MethodId.WALLIS, MethodId.ZETA8]
+        ranged = compare(methods, schedule, ctx15)
+        listed = compare(methods, Schedule(tuple(range(1, 11))), ctx15)
+
+        def untimed(records):
+            return {m: [r._replace(elapsed_ns=0) for r in recs]
+                    for m, recs in records.items()}
+
+        assert untimed(ranged[0]) == untimed(listed[0])
+        assert ranged[1] == listed[1]
+
     def test_aligned_rows(self, ctx15):
         sched = Schedule((5, 10, 15))
         records, _ = compare([MethodId.WALLIS, MethodId.VIETE], sched, ctx15)
@@ -354,10 +381,10 @@ class TestTimeToDigits:
 
 class TestPresets:
     def test_schedules(self):
-        assert len(TABLE_PRESETS[1].schedule.points) == 25
+        assert len(list(TABLE_PRESETS[1].schedule)) == 25
         assert TABLE_PRESETS[1].schedule.max_n == 10 ** 7
-        assert TABLE_PRESETS[4].schedule.points[:10] == tuple(range(1, 11))
-        assert TABLE_PRESETS[6].schedule.points == tuple(range(5, 101, 5))
+        assert list(TABLE_PRESETS[4].schedule)[:10] == list(range(1, 11))
+        assert list(TABLE_PRESETS[6].schedule) == list(range(5, 101, 5))
 
     def test_precisions(self):
         for tid in (1, 2, 3, 4, 5):

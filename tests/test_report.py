@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from pibench.fixedpoint import fx_to_string
-from pibench.harness import TABLE_PRESETS, Schedule, run
+from pibench.fixedpoint import BigFixed, fx_to_string
+from pibench.harness import ERR_DP, TABLE_PRESETS, RunRecord, Schedule, run
 from pibench.methods import MethodId
 from pibench.report import (
     CSV_HEADER,
     ReportShapeError,
     TableSpec,
+    csv_line,
     render_csv,
     render_markdown,
     render_plot_data,
@@ -124,3 +127,20 @@ class TestPlotData:
         signed = next(b for b in blocks if b.startswith("# leibniz signed_err_pct"))
         signs = [ln.split()[1].startswith("-") for ln in signed.splitlines()[1:]]
         assert signs == [i % 2 == 0 for i in range(21)]  # even n overshoots
+
+
+@given(sig=st.integers(-10**9, 10**9), scale=st.integers(0, 12))
+@example(sig=-5, scale=6)  # -0.000005: a tie that rounds to zero from below
+@example(sig=-4, scale=6)
+@example(sig=-15, scale=6)  # a tie that rounds away from zero
+@example(sig=-1, scale=12)
+def test_error_cells_round_once(sig, scale):
+    # The abs cell is the signed cell without its '-': exact, because
+    # half-even rounding is symmetric about zero.
+    x = BigFixed(sig, scale)
+    record = RunRecord(MethodId.LEIBNIZ, 1, BigFixed(3), x, abs(x), 0, 0, 15)
+    signed, absolute = fx_to_string(x, ERR_DP), fx_to_string(abs(x), ERR_DP)
+    assert csv_line(record).split(",")[3:5] == [signed, absolute]
+    blocks = render_plot_data([record]).split("\n\n")
+    assert blocks[1:] == [f"# leibniz abs_err_pct\n1 {absolute}",
+                          f"# leibniz signed_err_pct\n1 {signed}\n"]
