@@ -46,8 +46,7 @@ class CliConfig:
     command: str
     methods: list = field(default_factory=list)
     schedule: Schedule | None = None
-    working_dp: int = 15
-    guard_dp: int | None = None
+    ctx: PrecisionCtx | None = None
     fmt: str = "md"
     out: str | None = None
     reference: str | None = None
@@ -158,8 +157,8 @@ def parse_args(argv) -> CliConfig:
         if ns.guard is not None and ns.guard < 0:
             raise UsageError("--guard must be >= 0")
         cfg.schedule = parse_schedule_expr(ns.schedule)
-        cfg.working_dp = ns.dp
-        cfg.guard_dp = ns.guard
+        guard = default_guard(cfg.schedule.max_n) if ns.guard is None else ns.guard
+        cfg.ctx = PrecisionCtx(ns.dp, guard)
         cfg.fmt = ns.fmt
         cfg.out = ns.out
     if ns.command == "run":
@@ -216,35 +215,27 @@ def _render_records(records, fmt: str, value_dp: int) -> str:
 
 
 def _cmd_run(cfg: CliConfig) -> int:
-    guard = cfg.guard_dp
-    if guard is None:
-        guard = default_guard(cfg.schedule.max_n)
-    ctx = PrecisionCtx(cfg.working_dp, guard)
-    ref = reference_pi(ctx, cfg.reference)
+    ref = reference_pi(cfg.ctx, cfg.reference)
     with _open_out(cfg.out) as out:
-        records = run(cfg.methods[0], cfg.schedule, ctx, ref)
+        records = run(cfg.methods[0], cfg.schedule, cfg.ctx, ref)
         if cfg.fmt == "csv":  # written as computed: no record is kept
             out.write(CSV_HEADER + "\n")
             out.writelines(map(csv_line, records))
         else:
-            out.write(_render_records(list(records), cfg.fmt, cfg.working_dp))
+            out.write(_render_records(list(records), cfg.fmt, cfg.ctx.working_dp))
     return EXIT_OK
 
 
 def _cmd_compare(cfg: CliConfig) -> int:
-    guard = cfg.guard_dp
-    if guard is None:
-        guard = default_guard(cfg.schedule.max_n)
-    ctx = PrecisionCtx(cfg.working_dp, guard)
     with _open_out(cfg.out) as out:
         records, crossings = compare(
             cfg.methods,
             cfg.schedule,
-            ctx,
+            cfg.ctx,
             tuple(cfg.thresholds) if cfg.thresholds else None,
         )
         flat = [r for recs in records.values() for r in recs]
-        text = _render_records(flat, cfg.fmt, cfg.working_dp)
+        text = _render_records(flat, cfg.fmt, cfg.ctx.working_dp)
         lines = ["# crossover: first sampled n with abs error below threshold"]
         for m, crossed in crossings.items():
             for threshold, n in crossed:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import total_ordering
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.(\d+))?$")
 
@@ -96,6 +97,7 @@ def default_guard(max_n: int) -> int:
     return 10 + d
 
 
+@total_ordering
 @dataclass(frozen=True)
 class BigFixed:
     """significand * 10**-scale. Zero is canonically (0, 0)."""
@@ -124,18 +126,10 @@ class BigFixed:
         return a == b
 
     def __lt__(self, other: "BigFixed") -> bool:
+        if not isinstance(other, BigFixed):
+            return NotImplemented
         a, b = self._aligned(other)
         return a < b
-
-    def __le__(self, other: "BigFixed") -> bool:
-        a, b = self._aligned(other)
-        return a <= b
-
-    def __gt__(self, other: "BigFixed") -> bool:
-        return other < self
-
-    def __ge__(self, other: "BigFixed") -> bool:
-        return other <= self
 
     def __hash__(self) -> int:
         sig, sc = self.significand, self.scale

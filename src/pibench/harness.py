@@ -17,12 +17,7 @@ from .fixedpoint import (
     fx_to_string,
     fx_truncate_string,
 )
-from .methods import (
-    MethodId,
-    ZETA_METHODS,
-    NewtonArcsineState,
-    make_state,
-)
+from .methods import MethodId, ZETA_METHODS, make_state
 
 # 15-decimal-place integrity anchor; every computed or supplied reference
 # must reproduce these digits under truncation or the run aborts.
@@ -77,14 +72,47 @@ def _check_prefix(value: BigFixed, what: str) -> None:
         )
 
 
-def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
-    """Reference value of pi at the context scale.
+def _atan_inv(x: int, one: int) -> int:
+    """atan(1/x) * one in integers: the alternating series
+    sum (-1)**j / (k * x**k), k = 2j + 1, with each term floored.
 
-    Computed mode sums the arcsine series until two successive partial
-    sums agree to max(working_dp, 13) + 2 digits, then validates the first
-    15 fractional digits against the known constant and rounds to the
-    context scale. Literal mode validates and wraps a caller-supplied
-    decimal string.
+    power carries floor(one / x**k); as floor(floor(a / b) / c) equals
+    floor(a / (b * c)), power // k is exactly floor(one / (k * x**k)). The
+    sum stops when power reaches 0, after which every term is 0.
+    """
+    total, sign, k, power, x2 = 0, 1, 1, one // x, x * x
+    while power:
+        total += sign * (power // k)
+        power //= x2
+        sign, k = -sign, k + 2
+    return total
+
+
+def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
+    """Reference value of pi at the context scale c, from no method under
+    test.
+
+    Computed mode sums Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239),
+    in integers at an inner scale s (see _atan_inv), checks the first 15
+    fractional digits of that unrounded sum against the known constant, and
+    rounds it half-even to c. Literal mode validates and wraps a
+    caller-supplied decimal string.
+
+    Bound in ulps u = 10^-s, after Brent & Zimmermann (2010), 4.2. Each of
+    the n_x terms of atan(1/x) is floored, so off by under 1 u, and the tail
+    of an alternating series is below its first dropped term, under 1 u.
+    The sum is therefore within 16 (n_5 + 1) + 4 (n_239 + 1) u of pi. As
+    n_x <= s / (2 log10 x) + 1/2, that is n_5 <= 0.716 s + 1/2 and
+    n_239 <= 0.211 s + 1/2, the error is under 12.3 s + 30 u. With
+
+        s = max(c, 15) + len(str(20 c)) + 1,
+
+    10^(s - c - 1) > 20 c >= 12.3 s + 30 for every c >= 15, so the sum is
+    within 0.1 ulp of pi at scale c; for c < 15, s is 18 or 19 and the
+    error is under 0.003 ulp of c. The rounded reference is within 0.6 ulp
+    of pi. Measured: 0.497 ulp worst over working_dp 1-30, 150, 400 and
+    1000 with guard_dp 0-15. The sums at s = 18 and 19 are 13.5 u above
+    and 12.6 u below pi, well inside the 15-digit check.
     """
     if literal is not None:
         v = fx_parse(literal)
@@ -95,22 +123,11 @@ def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
             v = fx_round(v, ctx.scale)
         return ReferencePi(v, "user-literal", ctx)
 
-    # Stationarity is judged at working + 2 digits, which needs at least
-    # that many internal digits regardless of the caller's guard setting.
-    # The 15-digit check needs working >= 13: a sum stationary at fewer
-    # digits can still be off in the 15th.
-    working = max(ctx.working_dp, 13)
-    state = NewtonArcsineState(PrecisionCtx(working, max(ctx.guard_dp, 5)))
-    agree_dp = working + 2
-    prev = None
-    for _ in range(4 * working + 64):
-        state.step()
-        cur = state.value()
-        if prev is not None and fx_round(cur, agree_dp) == fx_round(prev, agree_dp):
-            _check_prefix(cur, "computed reference")
-            return ReferencePi(fx_round(cur, ctx.scale), "computed", ctx)
-        prev = cur
-    raise ReferenceIntegrityError("reference series failed to become stationary")
+    s = max(ctx.scale, 15) + len(str(20 * ctx.scale)) + 1
+    one = 10 ** s
+    pi = BigFixed(16 * _atan_inv(5, one) - 4 * _atan_inv(239, one), s)
+    _check_prefix(pi, "computed reference")
+    return ReferencePi(fx_round(pi, ctx.scale), "computed", ctx)
 
 
 def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
@@ -332,13 +349,10 @@ _VALUE_AND_ERR = (("value", "{method}"), ("err", "Error (%)"))
 
 @dataclass(frozen=True)
 class TablePreset:
-    table_id: int
     methods: tuple[MethodId, ...]
     schedule: Schedule
-    working_dp: int
+    working_dp: int  # also the printed value digits
     guard_dp: int
-    value_dp: int
-    err_dp: int = ERR_DP
     columns: tuple[tuple[str, str], ...] = _VALUE_AND_ERR
 
     @property
@@ -353,15 +367,13 @@ _SCHED_SMALL = Schedule(tuple(range(1, 11)) + tuple(range(15, 101, 5)))
 _SCHED_MID = Schedule(range(5, 101, 5))
 
 TABLE_PRESETS = {
-    1: TablePreset(1, (MethodId.WALLIS,), _SCHED_LARGE, 15, 17, 15),
-    2: TablePreset(2, (MethodId.LEIBNIZ,), _SCHED_LARGE, 15, 17, 15),
-    3: TablePreset(3, (MethodId.NEWTON_ARCSINE,), _SCHED_LARGE, 15, 17, 15),
-    4: TablePreset(4, (MethodId.EULER_CF,), _SCHED_SMALL, 15, 12, 15),
-    5: TablePreset(5, (MethodId.VIETE,), _SCHED_SMALL, 15, 12, 15),
-    6: TablePreset(6, ZETA_METHODS, _SCHED_MID, 14, 12, 14,
-                   columns=(("value", "{method}"),)),
-    7: TablePreset(7, ZETA_METHODS, _SCHED_MID, 14, 12, 14,
-                   columns=(("err", "{method}"),)),
+    1: TablePreset((MethodId.WALLIS,), _SCHED_LARGE, 15, 17),
+    2: TablePreset((MethodId.LEIBNIZ,), _SCHED_LARGE, 15, 17),
+    3: TablePreset((MethodId.NEWTON_ARCSINE,), _SCHED_LARGE, 15, 17),
+    4: TablePreset((MethodId.EULER_CF,), _SCHED_SMALL, 15, 12),
+    5: TablePreset((MethodId.VIETE,), _SCHED_SMALL, 15, 12),
+    6: TablePreset(ZETA_METHODS, _SCHED_MID, 14, 12, columns=(("value", "{method}"),)),
+    7: TablePreset(ZETA_METHODS, _SCHED_MID, 14, 12, columns=(("err", "{method}"),)),
 }
 
 

@@ -29,20 +29,19 @@ class TableSpec:
 
     table_id: int | None
     value_dp: int
-    err_dp: int = ERR_DP
 
     @classmethod
     def for_table(cls, table_id: int) -> "TableSpec":
         preset = TABLE_PRESETS.get(table_id)
         if preset is None:
             raise ReportShapeError(f"no published table {table_id}")
-        return cls(table_id, preset.value_dp, preset.err_dp)
+        return cls(table_id, preset.working_dp)
 
     def cell(self, record: RunRecord, column: str) -> str:
         """One printed cell: the record's value or its abs error."""
         if column == "value":
             return record.value_str(self.value_dp)
-        return fx_to_string(record.abs_err_pct, self.err_dp)
+        return fx_to_string(record.abs_err_pct, ERR_DP)
 
 
 def _group(records: list[RunRecord]) -> dict[MethodId, list[RunRecord]]:

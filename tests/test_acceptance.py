@@ -31,6 +31,7 @@ from pibench.fixedpoint import (
 )
 from pibench.goldens import load as load_goldens
 from pibench.harness import (
+    ERR_DP,
     TABLE_PRESETS,
     Schedule,
     digits_correct,
@@ -114,11 +115,11 @@ def _table_mismatches(records, tid, oracle=None, dps=80, check_values=True,
         rec = by_n[n]
         cells = []
         if check_values and (value_ns is None or n in value_ns):
-            cells.append(("value", rec.value_str(preset.value_dp),
-                          preset.value_dp, lambda: oracle(n)))
+            cells.append(("value", rec.value_str(preset.working_dp),
+                          preset.working_dp, lambda: oracle(n)))
         if check_errs and (err_ns is None or n in err_ns):
-            cells.append(("err", fx_to_string(rec.abs_err_pct, preset.err_dp),
-                          preset.err_dp, lambda: pct_err_mp(oracle(n))))
+            cells.append(("err", fx_to_string(rec.abs_err_pct, ERR_DP),
+                          ERR_DP, lambda: pct_err_mp(oracle(n))))
         for col, got, dp, exact in cells:
             published, frozen = _cell(row, method, col)
             if frozen is None:

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pibench
+import pibench.cli as cli
 import pibench.goldens as goldens
 from pibench.cli import (
     EXIT_BROKEN_PIPE,
@@ -146,6 +147,22 @@ class TestParseArgs:
     def test_table_id_validation(self):
         with pytest.raises(UsageError):
             parse_args(["table", "--id", "9"])
+
+    def test_context_built_once(self):
+        cfg = parse_args(["run", "--method", "wallis", "--schedule", "5:100:5,1000"])
+        assert cfg.ctx == PrecisionCtx(15, default_guard(1000))
+        cfg = parse_args(["compare", "--methods", "newton,zeta8", "--dp", "20", "--guard", "0"])
+        assert cfg.ctx == PrecisionCtx(20, 0)
+        assert parse_args(["table", "--id", "1"]).ctx is None
+
+    @pytest.mark.parametrize("flag, value", [("--dp", "0"), ("--guard", "-1")])
+    def test_bad_precision_exits_before_a_context(self, flag, value, capsys, monkeypatch):
+        def no_context(*args):
+            raise AssertionError("context built from a bad precision")
+
+        monkeypatch.setattr(cli, "PrecisionCtx", no_context)
+        assert main(["run", "--method", "wallis", "--schedule", "5", flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"pibench: {flag} must be")
 
 
 class TestMainExitCodes:

@@ -1,7 +1,8 @@
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pow_int
@@ -274,6 +275,26 @@ class TestOrdering:
         assert sorted(xs) == xs
         assert xs[0] < xs[1]
         assert xs[3] > xs[2]
+
+    @given(st.integers(-2000, 2000), st.integers(0, 4),
+           st.integers(-2000, 2000), st.integers(0, 4))
+    @example(150, 2, 15, 1)
+    @example(-3, 0, -2999, 3)
+    @settings(max_examples=500)
+    def test_comparisons_match_fractions(self, a, sa, b, sb):
+        # Small significands make equal values at different scales common.
+        x, y = BigFixed(a, sa), BigFixed(b, sb)
+        fx, fy = Fraction(a, 10 ** sa), Fraction(b, 10 ** sb)
+        for op in (operator.lt, operator.le, operator.eq,
+                   operator.ne, operator.gt, operator.ge):
+            assert op(x, y) == op(fx, fy), (op.__name__, x, y)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_other_types_are_not_ordered(self, op):
+        with pytest.raises(TypeError):
+            op(BigFixed(1), 2)
+        with pytest.raises(TypeError):
+            op(2, BigFixed(1))
 
 
 class TestExactFitBitExact:

@@ -18,6 +18,7 @@ from pibench.fixedpoint import (
 )
 from pibench.goldens import load as load_goldens
 from pibench.harness import (
+    ERR_DP,
     PAIRINGS,
     TABLE_PRESETS,
     ReferenceIntegrityError,
@@ -28,7 +29,7 @@ from pibench.harness import (
     reference_pi,
     run,
 )
-from pibench.methods import MethodId, zeta_pi
+from pibench.methods import ApproximantState, MethodId, NewtonArcsineState, zeta_pi
 
 
 class TestReferencePi:
@@ -45,17 +46,39 @@ class TestReferencePi:
         assert fx_to_string(z, 15) == fx_to_string(ref15.value, 15)
 
     def test_every_small_context_passes_within_an_ulp(self):
-        # The sum is carried at ctx.scale but stops once it is stationary at
-        # max(working_dp, 13) + 2 digits; it is within 1 ulp of pi there.
-        for working in range(1, 31):
+        # reference_pi's bound: within 0.6 ulp of pi at ctx.scale.
+        for working in [*range(1, 31), 150, 400, 1000]:
             for guard in range(16):
                 ctx = PrecisionCtx(working, guard)
                 ref = reference_pi(ctx)
                 assert ref.value.scale == ctx.scale
-                dp = min(ctx.scale, max(working, 13) + 2)
                 with mpmath.workdps(ctx.scale + 20):
-                    x = mpmath.mpf(ref.value.significand) / 10 ** ctx.scale
-                    assert abs(x - mpmath.pi) * 10 ** dp <= 1, (working, guard)
+                    err = abs(mpmath.mpf(ref.value.significand) - mpmath.pi * 10 ** ctx.scale)
+                assert err <= 0.6, (working, guard, err)
+
+    def test_agrees_with_the_newton_sum(self):
+        # Two independent computations of pi. Newton's estimate (ROADMAP
+        # item 1): 1/2 ulp per rounding up to step K, where its term rounds
+        # to 0, times 6 in value(); 7 more cover its tail and the reference.
+        for scale in [*range(1, 201), 300, 500, 1000]:
+            state = NewtonArcsineState(PrecisionCtx(scale, 0))
+            k = 0
+            while state._t:
+                k += 1
+                state.advance_to(k)
+            ref = reference_pi(PrecisionCtx(scale, 0))
+            diff = abs(state.value().significand - ref.value.significand)
+            assert diff <= 3 * k + 7, (scale, k, diff)
+
+    def test_uses_no_method_state(self, monkeypatch):
+        def broken(*args):
+            raise AssertionError("reference_pi stepped a method")
+
+        for cls in (ApproximantState, *ApproximantState.__subclasses__()):
+            for name in ("advance_to", "step", "value"):
+                monkeypatch.setattr(cls, name, broken, raising=False)
+        ref = reference_pi(PrecisionCtx(15, 17))
+        assert fx_to_string(ref.value, 15) == "3.141592653589793"
 
     def test_literal_ok(self, ctx15):
         ref = reference_pi(ctx15, "3.1415926535897932384626433832795028841")
@@ -387,11 +410,12 @@ class TestPresets:
         assert list(TABLE_PRESETS[6].schedule) == list(range(5, 101, 5))
 
     def test_precisions(self):
+        # working_dp is also the printed value digits; errors print ERR_DP.
         for tid in (1, 2, 3, 4, 5):
-            assert TABLE_PRESETS[tid].value_dp == 15
+            assert TABLE_PRESETS[tid].working_dp == 15
         for tid in (6, 7):
             assert TABLE_PRESETS[tid].working_dp == 14
-        assert all(TABLE_PRESETS[t].err_dp == 5 for t in TABLE_PRESETS)
+        assert ERR_DP == 5
 
     def test_goldens_agree_with_registry(self):
         # One row shape: {"n", "values"?, "errs"?, "flags"}. The preset

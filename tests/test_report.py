@@ -62,9 +62,7 @@ class TestMarkdown:
     def test_for_table_reads_registry(self):
         for tid, preset in TABLE_PRESETS.items():
             spec = TableSpec.for_table(tid)
-            assert (spec.table_id, spec.value_dp, spec.err_dp) == (
-                tid, preset.value_dp, preset.err_dp,
-            )
+            assert (spec.table_id, spec.value_dp) == (tid, preset.working_dp)
 
     def test_unknown_table_id(self):
         with pytest.raises(ReportShapeError):
