@@ -1,12 +1,13 @@
 """Decimal fixed-point arithmetic on arbitrary-size integers.
 
 A value is a pair (significand, scale) meaning significand * 10**-scale.
-Every context-aware operation returns a result rescaled to the context's
-scale (working digits plus guard digits), rounded half-even. fx_sqrt
-rounds to the nearest unit; fx_nth_root floors the exact root two digits
-below the target scale (math.isqrt for even orders, integer Newton
+The two context-aware operations, fx_sqrt and fx_nth_root, return a root
+at the context's scale (working digits plus guard digits). fx_sqrt rounds
+to the nearest unit, ties to even; fx_nth_root floors the exact root two
+digits below the target scale (math.isqrt for even orders, integer Newton
 iteration for an odd remainder) and rounds that half-even. Both stay
-within one unit in the last place.
+within one unit in the last place. fx_round and fx_to_string round
+half-even to a given number of places.
 
 Values are immutable; all functions are pure.
 """
@@ -154,35 +155,6 @@ def _rescale(x: BigFixed, scale: int) -> BigFixed:
     if scale > x.scale:
         return BigFixed(x.significand * 10 ** (scale - x.scale), scale)
     return BigFixed(_div_half_even(x.significand, 10 ** (x.scale - scale)), scale)
-
-
-def fx_add(a: BigFixed, b: BigFixed, ctx: PrecisionCtx) -> BigFixed:
-    s = max(a.scale, b.scale)
-    raw = a.significand * 10 ** (s - a.scale) + b.significand * 10 ** (s - b.scale)
-    return _rescale(BigFixed(raw, s), ctx.scale)
-
-
-def fx_sub(a: BigFixed, b: BigFixed, ctx: PrecisionCtx) -> BigFixed:
-    return fx_add(a, -b, ctx)
-
-
-def fx_mul(a: BigFixed, b: BigFixed, ctx: PrecisionCtx) -> BigFixed:
-    return _rescale(BigFixed(a.significand * b.significand, a.scale + b.scale), ctx.scale)
-
-
-def fx_div(a: BigFixed, b: BigFixed, ctx: PrecisionCtx) -> BigFixed:
-    if b.significand == 0:
-        raise ZeroDivisionError("division by zero")
-    num = a.significand
-    den = b.significand
-    e = ctx.scale + b.scale - a.scale
-    if e >= 0:
-        num *= 10 ** e
-    else:
-        den *= 10 ** -e
-    if den < 0:
-        num, den = -num, -den
-    return BigFixed(_div_half_even(num, den), ctx.scale)
 
 
 def fx_sqrt(x: BigFixed, ctx: PrecisionCtx) -> BigFixed:

@@ -26,7 +26,6 @@ from importlib import resources
 from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
-    fx_mul,
     fx_sqrt,
 )
 from .harness import (
@@ -166,13 +165,11 @@ def _quick_invariants() -> list:
             )
             break
 
-    # r is within 1 ulp of the true root iff (r-ulp)^2 < x < (r+ulp)^2.
+    # r units of 10^-S are within 1 unit of sqrt(x) iff, exactly in
+    # integers, (r-1)^2 < x 10^(2S) < (r+1)^2.
     for sig in (2, 3, 5, 7, 10, 123456789):
-        x = BigFixed(sig)
-        r_sig = fx_sqrt(x, ctx).significand
-        r_lo = BigFixed(max(r_sig - 1, 0), ctx.scale)
-        r_hi = BigFixed(r_sig + 1, ctx.scale)
-        if not (fx_mul(r_lo, r_lo, ctx) < x < fx_mul(r_hi, r_hi, ctx)):
+        r = fx_sqrt(BigFixed(sig), ctx).significand
+        if not ((r - 1) ** 2 < sig * 10 ** (2 * ctx.scale) < (r + 1) ** 2):
             failures.append(f"INVARIANT FAIL: sqrt ulp bound violated for {sig}")
     return failures
 

@@ -177,12 +177,6 @@ class EulerCFState(ApproximantState):
             self.ctx.scale,
         )
 
-    def convergent(self) -> Fraction:
-        """Exact rational value of the current convergent."""
-        if self.n < 1:
-            raise ValueError("eulercf is defined for depth d >= 1")
-        return Fraction(4 * self._b, self._a)
-
 
 class VieteState(ApproximantState):
     """Nested-radical doubling formula without cancellation.
@@ -291,10 +285,13 @@ def euler_cf(d: int, ctx: PrecisionCtx) -> BigFixed:
 
 
 def euler_cf_convergent(d: int) -> Fraction:
-    """Exact rational convergent at depth d (oracle for equivalence tests)."""
+    """Exact rational convergent at depth d. selftest and the equivalence
+    tests check it against the Leibniz partial sum."""
+    if d < 1:
+        raise ValueError("eulercf is defined for depth d >= 1")
     state = EulerCFState(PrecisionCtx(1, 0))
     state.advance_to(d)
-    return state.convergent()
+    return Fraction(4 * state._b, state._a)
 
 
 def viete(n: int, ctx: PrecisionCtx) -> BigFixed:

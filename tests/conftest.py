@@ -1,8 +1,12 @@
+import time
+from fractions import Fraction
+
 import mpmath
 import pytest
 
-from pibench import BigFixed, PrecisionCtx, reference_pi
+from pibench import BigFixed, MethodId, PrecisionCtx, reference_pi, run
 from pibench.fixedpoint import fx_round
+from pibench.harness import TABLE_PRESETS
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +27,32 @@ def ctx14():
 @pytest.fixture(scope="session")
 def ref14(ctx14):
     return reference_pi(ctx14)
+
+
+@pytest.fixture(scope="session")
+def table_runs():
+    """All published-table runs, shared by the acceptance criteria and the
+    Table 1 and 2 digests."""
+    out = {}
+    p13 = TABLE_PRESETS[1]
+    ref_large = reference_pi(p13.ctx)
+    start = time.perf_counter()
+    out[1] = list(run(MethodId.WALLIS, p13.schedule, p13.ctx, ref_large))
+    out["table1_seconds"] = time.perf_counter() - start
+    out[2] = list(run(MethodId.LEIBNIZ, p13.schedule, p13.ctx, ref_large))
+    out[3] = list(run(MethodId.NEWTON_ARCSINE, p13.schedule, p13.ctx, ref_large))
+
+    p45 = TABLE_PRESETS[4]
+    ref_small = reference_pi(p45.ctx)
+    out[4] = list(run(MethodId.EULER_CF, p45.schedule, p45.ctx, ref_small))
+    out[5] = list(run(MethodId.VIETE, p45.schedule, p45.ctx, ref_small))
+
+    p67 = TABLE_PRESETS[6]
+    ref_zeta = reference_pi(p67.ctx)
+    out[6] = {
+        m: list(run(m, p67.schedule, p67.ctx, ref_zeta)) for m in p67.methods
+    }
+    return out
 
 
 def mp_string(expr_fn, dp, dps=80):
@@ -79,6 +109,11 @@ def viete_mp(n):
 def pct_err_mp(value):
     """|1 - value/pi| * 100, the tables' error column."""
     return abs(1 - value / mpmath.pi) * 100
+
+
+def exact(x):
+    """The exact rational value of a BigFixed."""
+    return Fraction(x.significand, 10 ** x.scale)
 
 
 def pow_int(x, k, ctx):

@@ -17,16 +17,20 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import leibniz_mp, mp_string, pct_err_mp, pow_int, viete_mp, wallis_mp
+from conftest import (
+    exact,
+    leibniz_mp,
+    mp_string,
+    pct_err_mp,
+    pow_int,
+    viete_mp,
+    wallis_mp,
+)
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
-    fx_div,
-    fx_mul,
     fx_nth_root,
-    fx_parse,
     fx_sqrt,
-    fx_sub,
     fx_to_string,
 )
 from pibench.goldens import load as load_goldens
@@ -60,31 +64,6 @@ def criterion(name):
         raise
     else:
         print(f"[ACCEPTANCE] {name}: PASS")
-
-
-@pytest.fixture(scope="module")
-def table_runs():
-    """All published-table runs, shared across criteria."""
-    out = {}
-    p13 = TABLE_PRESETS[1]
-    ref_large = reference_pi(p13.ctx)
-    start = time.perf_counter()
-    out[1] = list(run(MethodId.WALLIS, p13.schedule, p13.ctx, ref_large))
-    out["table1_seconds"] = time.perf_counter() - start
-    out[2] = list(run(MethodId.LEIBNIZ, p13.schedule, p13.ctx, ref_large))
-    out[3] = list(run(MethodId.NEWTON_ARCSINE, p13.schedule, p13.ctx, ref_large))
-
-    p45 = TABLE_PRESETS[4]
-    ref_small = reference_pi(p45.ctx)
-    out[4] = list(run(MethodId.EULER_CF, p45.schedule, p45.ctx, ref_small))
-    out[5] = list(run(MethodId.VIETE, p45.schedule, p45.ctx, ref_small))
-
-    p67 = TABLE_PRESETS[6]
-    ref_zeta = reference_pi(p67.ctx)
-    out[6] = {
-        m: list(run(m, p67.schedule, p67.ctx, ref_zeta)) for m in p67.methods
-    }
-    return out
 
 
 def _cell(row, method, column):
@@ -211,9 +190,9 @@ def test_criterion_4_continued_fraction(table_runs):
         for d in range(1, 21):
             series = sum(Fraction(4 * (-1) ** k, 2 * k + 1) for k in range(d + 1))
             assert euler_cf_convergent(d) == series
-        one_ulp = BigFixed(1, 15)
+        one_ulp = Fraction(1, 10 ** 15)
         for d in range(1, 101):
-            diff = fx_sub(euler_cf(d, ctx), leibniz(d, ctx), ctx)
+            diff = exact(euler_cf(d, ctx)) - exact(leibniz(d, ctx))
             assert abs(diff) <= one_ulp, f"d={d}"
 
 
@@ -286,23 +265,23 @@ def test_criterion_7_property_suite():
             assert (state.value() > ref.value) == (n % 2 == 0), f"n={n}"
 
         # Wallis rate: n * |1 - w(n)/pi| in [0.24, 0.26] for n in 50..500
-        lo, hi_bound = fx_parse("0.24"), fx_parse("0.26")
+        lo, hi_bound = Fraction("0.24"), Fraction("0.26")
+        pi = exact(ref.value)
         state = make_state(MethodId.WALLIS, ctx)
         for _ in range(49):
             state.step()
         for n in range(50, 501):
             if state.n < n:
                 state.step()
-            rel = fx_sub(BigFixed(1), fx_div(state.value(), ref.value, ctx), ctx)
-            scaled = fx_mul(BigFixed(n), abs(rel), ctx)
-            assert lo <= scaled <= hi_bound, f"n={n} rate={fx_to_string(scaled, 6)}"
+            scaled = n * abs(1 - exact(state.value()) / pi)
+            assert lo <= scaled <= hi_bound, f"n={n} rate={float(scaled):.6f}"
 
         # Viete rate: err(n)/err(n+1) in [3.8, 4.2] for n in 1..20
-        rlo, rhi = fx_parse("3.8"), fx_parse("4.2")
-        errs = [fx_sub(ref.value, viete(n, ctx), ctx) for n in range(1, 22)]
+        rlo, rhi = Fraction("3.8"), Fraction("4.2")
+        errs = [pi - exact(viete(n, ctx)) for n in range(1, 22)]
         for i in range(20):
-            ratio = fx_div(errs[i], errs[i + 1], ctx)
-            assert rlo <= ratio <= rhi, f"n={i + 1} ratio={fx_to_string(ratio, 4)}"
+            ratio = errs[i] / errs[i + 1]
+            assert rlo <= ratio <= rhi, f"n={i + 1} ratio={float(ratio):.4f}"
 
         # sqrt / nth-root ulp bounds on 1000 random inputs
         rng = random.Random(20240815)
@@ -320,7 +299,7 @@ def test_criterion_7_property_suite():
             r_ord = rng.choice((2, 4, 6, 8))
             x = BigFixed(sig, 12)
             y = fx_nth_root(pow_int(x, r_ord, root_ctx), r_ord, root_ctx)
-            assert abs(fx_sub(y, x, root_ctx).significand) <= 1
+            assert abs(exact(y) - exact(x)) <= Fraction(1, 10 ** root_ctx.scale)
 
         # reference integrity
         assert fx_to_string(ref.value, 15) == "3.141592653589793"
@@ -367,14 +346,14 @@ def test_criterion_8_comparison_presets():
         zeta_ctx = PrecisionCtx(15, 12)
         _, zeta8_err = pct_error(zeta_pi(MethodId.ZETA8, 5, zeta_ctx), ref)
         assert zeta8_err < newton5_err
-        factor = fx_div(newton5_err, zeta8_err, ctx)
+        factor = exact(newton5_err) / exact(zeta8_err)
         # The factor the published, non-divergent n = 5 cells of Tables 3
         # and 6 give, within their rounding.
         newton5, frozen = _cell(_row(tables["3"], 5), "newton", "value")
         zeta5 = _row(tables["6"], 5)
         assert frozen is None and "zeta8" not in zeta5["flags"]
         lo, hi = _error_ratio_bounds(newton5, zeta5["values"]["zeta8"])
-        assert lo <= Fraction(factor.significand, 10 ** factor.scale) <= hi, (
-            f"error factor at n=5 is {fx_to_string(factor, 9)},"
+        assert lo <= factor <= hi, (
+            f"error factor at n=5 is {float(factor):.9f},"
             f" published cells give {float(lo):.9f}..{float(hi):.9f}"
         )

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import pibench
+from pibench import fixedpoint
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +17,11 @@ def test_all_is_the_readme_library_list():
     assert len(pibench.__all__) == len(set(pibench.__all__))
     for name in pibench.__all__:
         assert hasattr(pibench, name), name
+
+
+def test_readme_names_only_existing_fx_functions():
+    # A deleted fixedpoint function must not stay documented.
+    names = set(re.findall(r"\bfx_\w+", README.read_text()))
+    assert names
+    missing = sorted(name for name in names if not hasattr(fixedpoint, name))
+    assert not missing, missing

@@ -413,6 +413,29 @@ class TestSelftestCommand:
         assert main(["selftest"]) == cli.EXIT_MISMATCH == 3
         assert capsys.readouterr().out == report.text()
 
+    def test_sqrt_two_units_high_fails_every_radicand(self, monkeypatch):
+        assert goldens._quick_invariants() == []
+        real_sqrt = goldens.fx_sqrt
+
+        def high_sqrt(x, ctx):
+            return BigFixed(real_sqrt(x, ctx).significand + 2, ctx.scale)
+
+        monkeypatch.setattr(goldens, "fx_sqrt", high_sqrt)
+        assert goldens._quick_invariants() == [
+            f"INVARIANT FAIL: sqrt ulp bound violated for {sig}"
+            for sig in (2, 3, 5, 7, 10, 123456789)
+        ]
+
+    def test_broken_continued_fraction_exits_3(self, small_selftest, monkeypatch, capsys):
+        real_convergent = goldens.euler_cf_convergent
+        monkeypatch.setattr(goldens, "euler_cf_convergent", lambda d: real_convergent(d) + 1)
+        line = "INVARIANT FAIL: continued fraction != series partial sum at d=1"
+        assert goldens._quick_invariants() == [line]
+        assert main(["selftest"]) == cli.EXIT_MISMATCH
+        assert capsys.readouterr().out.endswith(
+            f"{line}\nselftest: 101 expected-divergent cells, 1 failures\n"
+        )
+
     def test_threads_option_is_gone(self, capsys):
         assert main(["selftest", "--threads", "2"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err

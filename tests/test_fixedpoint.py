@@ -12,14 +12,10 @@ from pibench.fixedpoint import (
     _div_half_even,
     _iroot,
     default_guard,
-    fx_add,
-    fx_div,
-    fx_mul,
     fx_nth_root,
     fx_parse,
     fx_round,
     fx_sqrt,
-    fx_sub,
     fx_to_string,
     fx_truncate_string,
 )
@@ -53,60 +49,6 @@ class TestConstruction:
         assert default_guard(10 ** 7) == 17
         assert default_guard(150) == 13  # ceil(log10 150) = 3
         assert default_guard(1) == 10
-
-
-class TestRatio:
-    """fx_div of two integers: p/q rounded half-even to the context scale."""
-
-    def test_eight_thirds(self):
-        assert s(fx_div(BigFixed(8), BigFixed(3), CTX15), 15) == "2.666666666666667"
-
-    def test_identity(self):
-        assert fx_div(BigFixed(1), BigFixed(1), CTX10) == BigFixed(1)
-
-    def test_negative_quarter(self):
-        assert s(fx_div(BigFixed(-1), BigFixed(4), CTX15), 15) == "-0.250000000000000"
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            fx_div(BigFixed(1), BigFixed(0), CTX10)
-
-    def test_negative_denominator(self):
-        assert fx_div(BigFixed(1), BigFixed(-4), CTX10) == fx_div(BigFixed(-1), BigFixed(4), CTX10)
-
-
-class TestArithmetic:
-    def test_add(self):
-        a, b = fx_parse("1.5"), fx_parse("2.25")
-        assert fx_add(a, b, PrecisionCtx(2, 0)) == fx_parse("3.75")
-
-    def test_mul_annihilator(self):
-        for lit in ("1.5", "-2.25", "0.000"):
-            assert fx_mul(fx_parse(lit), BigFixed(0), CTX15) == BigFixed(0)
-
-    def test_mul_sqrt2_squared(self):
-        # Exact square of the 15-digit sqrt(2) is 1.999999999999999861...,
-        # which rounds half-even up at 15 places.
-        x = fx_parse("1.414213562373095")
-        exact = fx_mul(x, x, PrecisionCtx(30, 0))
-        assert s(exact, 18) == "1.999999999999999862"
-        assert s(fx_mul(x, x, CTX15), 15) == "2.000000000000000"
-
-    def test_div(self):
-        assert s(fx_div(BigFixed(1), BigFixed(3), CTX10), 10) == "0.3333333333"
-        assert s(fx_div(BigFixed(4), fx_parse("1.5"), CTX15), 15) == "2.666666666666667"
-
-    def test_div_self(self):
-        for lit in ("1.5", "-0.03", "123456.789"):
-            x = fx_parse(lit)
-            assert fx_div(x, x, CTX15) == BigFixed(1)
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            fx_div(BigFixed(1), BigFixed(0), CTX10)
-
-    def test_sub(self):
-        assert fx_sub(fx_parse("1.5"), fx_parse("2.25"), PrecisionCtx(2, 0)) == fx_parse("-0.75")
 
 
 class TestHalfEven:
@@ -216,19 +158,7 @@ class TestUlpProperties:
         ctx = PrecisionCtx(10, 0)
         x = BigFixed(sig, 10)
         y = fx_nth_root(pow_int(x, r, ctx), r, ctx)
-        diff = fx_sub(y, x, ctx)
-        assert abs(diff.significand) <= 1
-
-    @given(
-        st.integers(-10 ** 12, 10 ** 12),
-        st.integers(-10 ** 6, 10 ** 6).filter(lambda q: q != 0),
-    )
-    @settings(max_examples=300)
-    def test_ratio_recovers_numerator(self, p, q):
-        ctx = PrecisionCtx(12, 0)
-        back = fx_mul(fx_div(BigFixed(p), BigFixed(q), ctx), BigFixed(q), ctx)
-        diff = fx_sub(back, BigFixed(p), ctx)
-        assert abs(diff.significand) <= abs(q)
+        assert y.scale == x.scale and abs(y.significand - x.significand) <= 1
 
 
 class TestStrings:
@@ -295,22 +225,3 @@ class TestOrdering:
             op(BigFixed(1), 2)
         with pytest.raises(TypeError):
             op(2, BigFixed(1))
-
-
-class TestExactFitBitExact:
-    @given(
-        st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=2, max_size=6)
-    )
-    @settings(max_examples=200)
-    def test_addition_order_invariant(self, sigs):
-        # Same-scale adds that fit the scale never round, so any
-        # association/commutation gives identical bits.
-        ctx = PrecisionCtx(9, 0)
-        xs = [BigFixed(v, 9) for v in sigs]
-        fwd = xs[0]
-        for x in xs[1:]:
-            fwd = fx_add(fwd, x, ctx)
-        rev = xs[-1]
-        for x in reversed(xs[:-1]):
-            rev = fx_add(x, rev, ctx)
-        assert fwd == rev and fwd.significand == rev.significand

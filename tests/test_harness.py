@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exact
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
-    fx_div,
-    fx_mul,
     fx_parse,
-    fx_sub,
     fx_to_string,
     fx_truncate_string,
 )
@@ -115,10 +113,11 @@ class TestPctError:
 
 
 def _pct_error_oracle(x, ref):
-    """pct_error as three context-rounded BigFixed operations, the way it
-    was first written: (1 - x/ref) * 100."""
-    ctx = ref.ctx
-    signed = fx_mul(fx_sub(BigFixed(1), fx_div(x, ref.value, ctx), ctx), BigFixed(100), ctx)
+    """pct_error in exact rationals: (1 - x/ref) * 100 with x/ref rounded
+    half-even to the context scale S, where the rest is exact."""
+    s = ref.ctx.scale
+    q = round(exact(x) / exact(ref.value) * 10 ** s)
+    signed = BigFixed(100 * (10 ** s - q), s)
     return signed, abs(signed)
 
 
@@ -170,7 +169,7 @@ def _metric_cases(draw):
 
 class TestIntegerMetrics:
     """pct_error and digits_correct on integers, bit for bit against the
-    BigFixed and string forms kept above as oracles."""
+    exact-rational and string forms kept above as oracles."""
 
     @given(_metric_cases())
     @settings(max_examples=1000, deadline=None)

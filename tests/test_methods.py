@@ -10,7 +10,6 @@ from pibench.fixedpoint import (
     PrecisionCtx,
     _div_half_even,
     _isqrt_nearest,
-    fx_sub,
     fx_to_string,
 )
 from pibench.methods import (
@@ -25,7 +24,7 @@ from pibench.methods import (
     wallis,
     zeta_pi,
 )
-from conftest import mp_string, viete_mp
+from conftest import exact, mp_string, viete_mp
 
 CTX = PrecisionCtx(15, 12)
 
@@ -127,14 +126,16 @@ class TestEulerCF:
         # Equal within one unit at the reported precision; the series
         # accumulates a few guard-scale units of per-term rounding drift
         # while the convergent rounds exactly once.
-        one_ulp = BigFixed(1, CTX.working_dp)
+        one_ulp = Fraction(1, 10 ** CTX.working_dp)
         for d in range(1, 101):
-            diff = fx_sub(euler_cf(d, CTX), leibniz(d, CTX), CTX)
+            diff = exact(euler_cf(d, CTX)) - exact(leibniz(d, CTX))
             assert abs(diff) <= one_ulp
 
     def test_d0_invalid(self):
         with pytest.raises(ValueError):
             euler_cf(0, CTX)
+        with pytest.raises(ValueError):
+            euler_cf_convergent(0)
 
 
 class TestViete:

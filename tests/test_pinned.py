@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from pibench.cli import main
+from pibench.report import TableSpec, render_markdown
 
 PINNED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json").read_text()
@@ -21,10 +22,17 @@ def _stdout_sha256(capsys, argv):
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-# Tables 1 and 2 take seconds each; the acceptance fixture runs them.
+# Tables 1 and 2 take seconds each, so they are rendered from the runs
+# the acceptance criteria share, as `pibench table` renders them.
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_table_digest(capsys, k):
     assert _stdout_sha256(capsys, ["table", "--id", str(k)]) == PINNED["tables"][str(k)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_long_table_digest(table_runs, k):
+    text = render_markdown(table_runs[k], TableSpec.for_table(k))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED["tables"][str(k)]
 
 
 def test_hiprec_compare_digest(capsys):
