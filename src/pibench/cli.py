@@ -6,7 +6,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_parse, fx_to_string
 from .goldens import selftest
@@ -16,11 +15,12 @@ from .harness import (
     ReferenceIntegrityError,
     Schedule,
     compare,
+    compare_args,
     reference_pi,
     run,
     run_table,
 )
-from .methods import MethodId, make_state
+from .methods import MethodId, check_index
 from .report import (
     CSV_HEADER,
     TableSpec,
@@ -41,44 +41,23 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class CliConfig:
-    command: str
-    methods: list = field(default_factory=list)
-    schedule: Schedule | None = None
-    ctx: PrecisionCtx | None = None
-    fmt: str = "md"
-    out: str | None = None
-    reference: str | None = None
-    thresholds: list | None = None
-    table_id: int | None = None
-
-
 def parse_schedule_expr(expr: str) -> Schedule:
     """Comma list of `N` or `start:stop:step`, inclusive of stop. Each item
     stays a range, so no expression is expanded."""
     runs = []
-    for item in expr.split(","):
-        item = item.strip()
-        if not item:
-            raise UsageError(f"empty schedule item in {expr!r}")
-        if ":" in item:
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise UsageError(f"range must be start:stop:step, got {item!r}")
-            try:
-                start, stop, step_ = (int(p) for p in parts)
-            except ValueError:
-                raise UsageError(f"non-integer range bound in {item!r}")
-            if step_ < 1 or stop < start:
-                raise UsageError(f"bad range {item!r}")
-            runs.append(range(start, stop + 1, step_))
-        else:
-            try:
-                n = int(item)
-            except ValueError:
-                raise UsageError(f"non-integer schedule point {item!r}")
-            runs.append(range(n, n + 1))
+    for item in map(str.strip, expr.split(",")):
+        try:
+            bounds = [int(b) for b in item.split(":")]
+        except ValueError:  # empty, or not an integer
+            bounds = []
+        if len(bounds) == 1:
+            bounds += [bounds[0], 1]
+        if len(bounds) != 3:
+            raise UsageError(f"schedule item {item!r} is not N or start:stop:step")
+        start, stop, step_ = bounds
+        if step_ < 1 or stop < start:
+            raise UsageError(f"bad range {item!r}")
+        runs.append(range(start, stop + 1, step_))
     try:
         return Schedule(*runs)
     except ValueError as e:
@@ -123,76 +102,61 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="sample one method over a schedule")
-    runp.add_argument("--method", required=True)
+    runp.add_argument("--method", dest="methods", metavar="METHOD", required=True)
     runp.add_argument("--schedule", required=True)
-    runp.add_argument("--dp", type=int, default=15)
-    runp.add_argument("--guard", type=int, default=None)
-    runp.add_argument("--format", dest="fmt", choices=("md", "csv", "plot"), default="md")
-    runp.add_argument("--out", default=None)
     runp.add_argument("--reference", default=None, help="override the computed reference value")
+    runp.set_defaults(handler=_cmd_run)
 
     cmp_ = sub.add_parser("compare", help="align several methods on one schedule")
     cmp_.add_argument("--methods", required=True, help="comma list or a pairing preset name")
     cmp_.add_argument("--schedule", default="5:100:5")
     cmp_.add_argument("--thresholds", default=None, help="comma list of abs-error percentages")
-    cmp_.add_argument("--dp", type=int, default=15)
-    cmp_.add_argument("--guard", type=int, default=None)
-    cmp_.add_argument("--format", dest="fmt", choices=("md", "csv", "plot"), default="md")
-    cmp_.add_argument("--out", default=None)
+    cmp_.set_defaults(handler=_cmd_compare)
 
     tab = sub.add_parser("table", help="reproduce a published reference table")
-    tab.add_argument("--id", type=int, required=True, dest="table_id")
-    tab.add_argument("--out", default=None)
+    tab.add_argument("--id", type=int, required=True, dest="table_id", choices=TABLE_PRESETS)
+    tab.set_defaults(handler=_cmd_table, ctx=None)
 
-    sub.add_parser("selftest", help="recompute all reference tables and invariants")
+    selftest_p = sub.add_parser("selftest", help="recompute all reference tables and invariants")
+    selftest_p.set_defaults(handler=_cmd_selftest, ctx=None)
+
+    # The options several commands share, each declared once.
+    for cmd in (runp, cmp_):
+        cmd.add_argument("--dp", type=int, default=15)
+        cmd.add_argument("--guard", type=int, default=None)
+        cmd.add_argument("--format", dest="fmt", choices=("md", "csv", "plot"), default="md")
+    for cmd in (runp, cmp_, tab):
+        cmd.add_argument("--out", default=None)
     return p
 
 
-def parse_args(argv) -> CliConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed command line. For run and compare, methods, schedule, ctx
+    and thresholds are converted, and checked by the library's rules, so a
+    bad argument fails before any output is opened."""
     ns = _build_parser().parse_args(argv)
-    cfg = CliConfig(command=ns.command)
-    if ns.command in ("run", "compare"):
-        if ns.dp < 1:
-            raise UsageError("--dp must be >= 1")
-        if ns.guard is not None and ns.guard < 0:
-            raise UsageError("--guard must be >= 0")
-        cfg.schedule = parse_schedule_expr(ns.schedule)
-        guard = default_guard(cfg.schedule.max_n) if ns.guard is None else ns.guard
-        cfg.ctx = PrecisionCtx(ns.dp, guard)
-        cfg.fmt = ns.fmt
-        cfg.out = ns.out
-    if ns.command == "run":
-        cfg.methods = _parse_methods(ns.method)
-        if len(cfg.methods) != 1:
-            raise UsageError("run takes exactly one --method")
-        if ns.reference is not None:
-            try:
-                fx_parse(ns.reference)
-            except ValueError:
-                raise UsageError(f"bad --reference literal {ns.reference!r}")
-        cfg.reference = ns.reference
-    elif ns.command == "compare":
-        cfg.methods = _parse_methods(ns.methods)
-        if len(cfg.methods) < 2:
-            raise UsageError("compare needs at least two methods")
-        if len(set(cfg.methods)) != len(cfg.methods):
-            raise UsageError("compare takes each method once")
-        if ns.thresholds is not None:
-            cfg.thresholds = [parse_decimal_exp(t) for t in ns.thresholds.split(",")]
-            if any(t.significand <= 0 for t in cfg.thresholds):
-                raise UsageError("--thresholds must be positive")
-            if any(b >= a for a, b in zip(cfg.thresholds, cfg.thresholds[1:])):
-                raise UsageError("--thresholds must be strictly decreasing")
-    elif ns.command == "table":
-        if ns.table_id not in TABLE_PRESETS:
-            raise UsageError("--id must be in 1..7")
-        cfg.table_id = ns.table_id
-        cfg.out = ns.out
-    for m in cfg.methods:
-        low = make_state(m, PrecisionCtx(1, 0)).min_index
-        if cfg.schedule.first < low:
-            raise UsageError(f"{m.value} is defined for n >= {low}")
-    return cfg
+    if ns.command not in ("run", "compare"):
+        return ns
+    if ns.dp < 1:
+        raise UsageError("--dp must be >= 1")
+    if ns.guard is not None and ns.guard < 0:
+        raise UsageError("--guard must be >= 0")
+    ns.schedule = parse_schedule_expr(ns.schedule)
+    guard = default_guard(ns.schedule.max_n) if ns.guard is None else ns.guard
+    ns.ctx = PrecisionCtx(ns.dp, guard)
+    ns.methods = _parse_methods(ns.methods)
+    if ns.command == "run" and len(ns.methods) != 1:
+        raise UsageError("run takes exactly one --method")
+    if ns.command == "compare" and ns.thresholds is not None:
+        ns.thresholds = tuple(map(parse_decimal_exp, ns.thresholds.split(",")))
+    try:
+        if ns.command == "run":
+            check_index(ns.methods[0], ns.schedule.first)
+        else:
+            compare_args(ns.methods, ns.schedule, ns.thresholds)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    return ns
 
 
 def _open_out(path: str | None):
@@ -214,28 +178,26 @@ def _render_records(records, fmt: str, value_dp: int) -> str:
     return render_markdown(records, TableSpec(None, value_dp))
 
 
-def _cmd_run(cfg: CliConfig) -> int:
-    ref = reference_pi(cfg.ctx, cfg.reference)
-    with _open_out(cfg.out) as out:
-        records = run(cfg.methods[0], cfg.schedule, cfg.ctx, ref)
-        if cfg.fmt == "csv":  # written as computed: no record is kept
+def _cmd_run(ns: argparse.Namespace) -> int:
+    try:
+        ref = reference_pi(ns.ctx, ns.reference)
+    except ValueError:
+        raise UsageError(f"bad --reference literal {ns.reference!r}") from None
+    with _open_out(ns.out) as out:
+        records = run(ns.methods[0], ns.schedule, ns.ctx, ref)
+        if ns.fmt == "csv":  # written as computed: no record is kept
             out.write(CSV_HEADER + "\n")
             out.writelines(map(csv_line, records))
         else:
-            out.write(_render_records(list(records), cfg.fmt, cfg.ctx.working_dp))
+            out.write(_render_records(list(records), ns.fmt, ns.ctx.working_dp))
     return EXIT_OK
 
 
-def _cmd_compare(cfg: CliConfig) -> int:
-    with _open_out(cfg.out) as out:
-        records, crossings = compare(
-            cfg.methods,
-            cfg.schedule,
-            cfg.ctx,
-            tuple(cfg.thresholds) if cfg.thresholds else None,
-        )
+def _cmd_compare(ns: argparse.Namespace) -> int:
+    with _open_out(ns.out) as out:
+        records, crossings = compare(ns.methods, ns.schedule, ns.ctx, ns.thresholds)
         flat = [r for recs in records.values() for r in recs]
-        text = _render_records(flat, cfg.fmt, cfg.ctx.working_dp)
+        text = _render_records(flat, ns.fmt, ns.ctx.working_dp)
         lines = ["# crossover: first sampled n with abs error below threshold"]
         for m, crossed in crossings.items():
             for threshold, n in crossed:
@@ -247,14 +209,14 @@ def _cmd_compare(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_table(cfg: CliConfig) -> int:
-    with _open_out(cfg.out) as out:
-        records = run_table(cfg.table_id)
-        out.write(render_markdown(records, TableSpec.for_table(cfg.table_id)))
+def _cmd_table(ns: argparse.Namespace) -> int:
+    with _open_out(ns.out) as out:
+        records = run_table(ns.table_id)
+        out.write(render_markdown(records, TableSpec.for_table(ns.table_id)))
     return EXIT_OK
 
 
-def _cmd_selftest(cfg: CliConfig) -> int:
+def _cmd_selftest(ns: argparse.Namespace) -> int:
     report = selftest()
     sys.stdout.write(report.text())
     return EXIT_OK if report.ok else EXIT_MISMATCH
@@ -262,14 +224,8 @@ def _cmd_selftest(cfg: CliConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
-        handler = {
-            "run": _cmd_run,
-            "compare": _cmd_compare,
-            "table": _cmd_table,
-            "selftest": _cmd_selftest,
-        }[cfg.command]
-        return handler(cfg)
+        ns = parse_args(sys.argv[1:] if argv is None else argv)
+        return ns.handler(ns)
     except UsageError as e:
         print(f"pibench: {e}", file=sys.stderr)
         return EXIT_USAGE

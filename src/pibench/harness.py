@@ -17,7 +17,7 @@ from .fixedpoint import (
     fx_to_string,
     fx_truncate_string,
 )
-from .methods import MethodId, ZETA_METHODS, make_state
+from .methods import MethodId, ZETA_METHODS, check_index, make_state
 
 # 15-decimal-place integrity anchor; every computed or supplied reference
 # must reproduce these digits under truncation or the run aborts.
@@ -250,14 +250,10 @@ def run(
     the records are computed as they are taken.
     """
     method = MethodId(method)
+    check_index(method, schedule.first)
     if ref is None:
         ref = reference_pi(ctx)
-    state = make_state(method, ctx)
-    if schedule.first < state.min_index:
-        raise ValueError(
-            f"{method.value} is defined for n >= {state.min_index}"
-        )
-    return _records(method, state, schedule, ctx, ref)
+    return _records(method, make_state(method, ctx), schedule, ctx, ref)
 
 
 def _records(
@@ -299,6 +295,32 @@ PAIRINGS = {
 DEFAULT_THRESHOLDS = ("1", "0.1", "0.01")
 
 
+def compare_args(
+    methods: list[MethodId],
+    schedule: Schedule,
+    thresholds: tuple[BigFixed, ...] | None = None,
+) -> tuple[tuple[MethodId, ...], tuple[BigFixed, ...]]:
+    """(methods, thresholds) as tuples, the default thresholds filled in;
+    ValueError unless there are two or more methods, none repeated, each
+    defined at the schedule's first n, and the thresholds are positive and
+    strictly decreasing."""
+    methods = tuple(MethodId(m) for m in methods)
+    if len(methods) < 2:
+        raise ValueError("compare needs at least two methods")
+    if len(set(methods)) != len(methods):
+        raise ValueError("compare takes each method once")
+    for m in methods:
+        check_index(m, schedule.first)
+    if thresholds is None:
+        thresholds = tuple(fx_parse(t) for t in DEFAULT_THRESHOLDS)
+    thresholds = tuple(thresholds)
+    if any(t.significand <= 0 for t in thresholds):
+        raise ValueError("thresholds must be positive")
+    if not thresholds or any(b >= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be strictly decreasing")
+    return methods, thresholds
+
+
 def compare(
     methods: list[MethodId],
     schedule: Schedule,
@@ -309,23 +331,10 @@ def compare(
 
     Returns (records, crossings), both keyed by method in the given order:
     each method's records, and for each threshold (threshold, smallest
-    sampled n with abs error below it, or None).
+    sampled n with abs error below it, or None). Every argument is checked
+    (see compare_args) before any method runs.
     """
-    methods = tuple(MethodId(m) for m in methods)
-    if len(methods) < 2:
-        raise ValueError("compare needs at least two methods")
-    if len(set(methods)) != len(methods):
-        raise ValueError("compare takes each method once")
-    if thresholds is None:
-        thresholds = tuple(fx_parse(t) for t in DEFAULT_THRESHOLDS)
-    thresholds = tuple(thresholds)
-    if not thresholds or any(
-        not (b < a) for a, b in zip(thresholds, thresholds[1:])
-    ):
-        raise ValueError("thresholds must be strictly decreasing")
-    if any(t.significand <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
-
+    methods, thresholds = compare_args(methods, schedule, thresholds)
     ref = reference_pi(ctx)
     records = {m: list(run(m, schedule, ctx, ref)) for m in methods}
 

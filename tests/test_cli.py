@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import pibench
 import pibench.cli as cli
 import pibench.goldens as goldens
+import pibench.harness as harness
 from pibench.cli import (
     EXIT_BROKEN_PIPE,
     UsageError,
@@ -25,7 +26,7 @@ from pibench.cli import (
 )
 from pibench.fixedpoint import BigFixed, PrecisionCtx, default_guard
 from pibench.harness import run
-from pibench.methods import MethodId
+from pibench.methods import ApproximantState, MethodId
 from pibench.report import CSV_HEADER
 
 
@@ -268,6 +269,39 @@ class TestMainExitCodes:
         assert not fresh.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args", [
+        ["--methods", "newton"],
+        ["--methods", "newton,zeta8,newton"],
+        ["--methods", "newton,zeta8", "--thresholds", "1,0"],
+        ["--methods", "newton,zeta8", "--thresholds", "1e-8,1e-3"],
+        ["--methods", "leibniz,viete", "--schedule", "0:10:1"],
+    ], ids=["one-method", "repeated", "not-positive", "not-decreasing", "first-index"])
+    def test_compare_usage_error_leaves_out_alone(self, args, tmp_path, capsys):
+        kept, fresh = tmp_path / "kept.md", tmp_path / "fresh.md"
+        kept.write_text("earlier output\n")
+        for path in (kept, fresh):
+            assert main(["compare", *args, "--out", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("pibench: ")
+            assert len(captured.err.splitlines()) == 1
+        assert kept.read_text() == "earlier output\n"
+        assert not fresh.exists()
+
+    def test_bad_method_fails_before_any_step(self, monkeypatch, capsys):
+        # A 10^9-point compare whose second method is not defined at n = 0
+        # fails at once, on the library's check: no method steps.
+        def no_state(*args):
+            pytest.fail("a method state was built")
+
+        monkeypatch.setattr(harness, "make_state", no_state)
+        monkeypatch.setattr(ApproximantState, "__init__", no_state)
+        assert main(["compare", "--methods", "leibniz,viete",
+                     "--schedule", "0:1000000000:1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pibench: viete is defined for n >= 1\n"
+
     def test_csv_run_memory_is_bounded(self, tmp_path):
         # A CSV run writes each record as it is computed and keeps none, and
         # its schedule stays a range, so its peak does not grow with the
@@ -408,7 +442,7 @@ class TestSelftestCommand:
 
         lines = ["MISMATCH table 1 n=5 value: computed=3.0 published=3.1",
                  "selftest: 0 expected-divergent cells, 1 failures"]
-        report = SelftestReport(lines, False, 0, 1)
+        report = SelftestReport(lines, 0, 1)
         monkeypatch.setattr(cli, "selftest", lambda: report)
         assert main(["selftest"]) == cli.EXIT_MISMATCH == 3
         assert capsys.readouterr().out == report.text()

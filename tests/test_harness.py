@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact
+from pibench import harness
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
@@ -326,6 +327,28 @@ class TestCompare:
     def test_repeated_method(self, ctx15):
         with pytest.raises(ValueError):
             compare([MethodId.NEWTON_ARCSINE, MethodId.NEWTON_ARCSINE], Schedule((1, 2, 3)), ctx15)
+
+    def test_every_method_is_checked_before_any_runs(self, ctx15, monkeypatch):
+        # Viete is not defined at n = 0: compare raises before Leibniz takes
+        # a single step of its 10^5.
+        steps = []
+        real_make_state = harness.make_state
+
+        def counted_make_state(method, ctx):
+            state = real_make_state(method, ctx)
+            advance_to = state.advance_to
+
+            def counted(n):
+                steps.append(n)
+                advance_to(n)
+
+            state.advance_to = counted
+            return state
+
+        monkeypatch.setattr(harness, "make_state", counted_make_state)
+        with pytest.raises(ValueError, match="viete is defined for n >= 1"):
+            compare([MethodId.LEIBNIZ, MethodId.VIETE], Schedule(range(0, 10**5)), ctx15)
+        assert steps == []
 
     def test_crossover_monotone(self, ctx15):
         _, crossings = compare(

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -13,8 +14,10 @@ from pibench.fixedpoint import (
     fx_to_string,
 )
 from pibench.methods import (
+    ApproximantState,
     MethodId,
     ZETA_PARAMS,
+    check_index,
     euler_cf,
     euler_cf_convergent,
     leibniz,
@@ -216,7 +219,77 @@ class TestZeta:
             assert fx_to_string(zeta_pi(mid, 50, ctx), 14) == mp_string(oracle, 14)
 
 
+# Scales 1-8 and the table scales, 27 (Tables 4-7) and 32 (Tables 1-3).
+BOUND_CTXS = [PrecisionCtx(s, 0) for s in range(1, 9)] + [
+    PrecisionCtx(15, 12), PrecisionCtx(15, 17)]
+
+
+def _errors_in_ulps(method, ctx, exact_values):
+    """value - exact in ulps of the context scale, at each n from 0 (or 1)
+    on, for exact_values[n] the exact approximant."""
+    state, one = make_state(method, ctx), 10 ** ctx.scale
+    for n, value in enumerate(exact_values):
+        if n >= state.min_index:
+            state.advance_to(n)
+            yield n, state.value().significand - value * one
+
+
+def _newton_stop(ctx):
+    """K: the first step whose rounded Newton term is 0."""
+    state = make_state(MethodId.NEWTON_ARCSINE, ctx)
+    while state._t:
+        state.step()
+    return state.n
+
+
+class TestUlpBounds:
+    """Each class docstring's bound, against exact Fraction sums."""
+
+    LEIBNIZ_SUMS = list(accumulate(Fraction(4 * (-1) ** k, 2 * k + 1) for k in range(300)))
+
+    @pytest.mark.parametrize("ctx", BOUND_CTXS, ids=lambda c: f"scale{c.scale}")
+    def test_leibniz_half_ulp_a_term(self, ctx):
+        prev = 0
+        for n, err in _errors_in_ulps(MethodId.LEIBNIZ, ctx, self.LEIBNIZ_SUMS):
+            assert abs(err - prev) <= Fraction(1, 2), f"term {n}: {float(err - prev)} ulp"
+            assert abs(err) <= Fraction(n, 2), f"n={n}: {float(err)} ulp"
+            prev = err
+
+    @pytest.mark.parametrize("ctx", BOUND_CTXS, ids=lambda c: f"scale{c.scale}")
+    def test_eulercf_half_ulp(self, ctx):
+        convergents = [None] + [euler_cf_convergent(d) for d in range(1, 150)]
+        for d, err in _errors_in_ulps(MethodId.EULER_CF, ctx, convergents):
+            assert abs(err) <= Fraction(1, 2), f"d={d}: {float(err)} ulp"
+
+    @pytest.mark.parametrize("ctx", BOUND_CTXS, ids=lambda c: f"scale{c.scale}")
+    def test_newton_four_ulps_a_step_to_k(self, ctx):
+        terms, t = [], Fraction(1, 2)
+        for k in range(130):
+            terms.append(t)
+            t = t * (2 * k + 1) ** 2 / (8 * (k + 1) * (2 * k + 3))
+        sums = [6 * total for total in accumulate(terms)]
+        k_stop = _newton_stop(ctx)
+        assert k_stop < 100  # the checks below run past K
+        for n, err in _errors_in_ulps(MethodId.NEWTON_ARCSINE, ctx, sums):
+            assert abs(err) <= 4 * min(n, k_stop), f"n={n}, K={k_stop}: {float(err)} ulp"
+
+    def test_newton_stops_at_48_on_scale_32(self):
+        assert _newton_stop(PrecisionCtx(15, 17)) == 48
+
+
 class TestStateProtocol:
+    def test_check_index_builds_no_state(self, monkeypatch):
+        first = {m: make_state(m, CTX).min_index for m in MethodId}
+
+        def no_state(*args):
+            pytest.fail("a method state was built")
+
+        monkeypatch.setattr(ApproximantState, "__init__", no_state)
+        for m in MethodId:
+            check_index(m, first[m])
+            with pytest.raises(ValueError, match=f"{m.value} is defined for n >= {first[m]}"):
+                check_index(m, first[m] - 1)
+
     def test_direct_equals_resumed(self):
         for method, n in [
             (MethodId.WALLIS, 17),
