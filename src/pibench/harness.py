@@ -5,13 +5,13 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
     _div_half_even,
+    _fixed,
     fx_parse,
     fx_round,
     fx_to_string,
@@ -28,40 +28,45 @@ class ReferenceIntegrityError(Exception):
     """The reference value failed its 15-digit integrity check."""
 
 
+class _ScaleTerms(dict):
+    """Sample scale -> the integers both metrics need for a sample of that
+    scale, computed on its first use:
+
+        (a, b, unit, scale, c, d, truncated, working_dp)
+
+    x / value at the context scale is x.significand * a / b, and unit is
+    10**scale, a ratio of 1 there; |x| * 10**working_dp truncated is
+    |x.significand| * c // d, and truncated is that integer of the value
+    itself. ctx.scale and working_dp are read here, once per scale.
+    """
+
+    __slots__ = ("_value", "_ctx")
+
+    def __init__(self, value: BigFixed, ctx: PrecisionCtx) -> None:
+        super().__init__()
+        self._value, self._ctx = value, ctx
+
+    def __missing__(self, scale: int) -> tuple[int, ...]:
+        v, s, dp = self._value, self._ctx.scale, self._ctx.working_dp
+        e = s + v.scale - scale
+        a, b = 10 ** max(e, 0), v.significand * 10 ** max(-e, 0)
+        t = scale - dp
+        c, d = 10 ** max(-t, 0), 10 ** max(t, 0)
+        t = v.scale - dp
+        truncated = v.significand * 10 ** max(-t, 0) // 10 ** max(t, 0)
+        terms = self[scale] = (a, b, 10 ** s, s, c, d, truncated, dp)
+        return terms
+
+
 @dataclass(frozen=True)
 class ReferencePi:
     value: BigFixed
     provenance: str  # "computed" | "user-literal"
     ctx: PrecisionCtx
-    _terms_by_scale: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _terms: _ScaleTerms = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def _unit(self) -> int:
-        """10**ctx.scale, a ratio of 1 at the context scale."""
-        return 10 ** self.ctx.scale
-
-    def _terms(self, scale: int) -> tuple[int, int, int, int]:
-        """The powers of ten the metrics need for a sample of this scale,
-        computed once per scale: (a, b) with x/value at the context scale
-        equal to x.significand * a / b, and (c, d) with |x| * 10**working_dp
-        truncated equal to |x.significand| * c // d."""
-        terms = self._terms_by_scale.get(scale)
-        if terms is None:
-            e = self.ctx.scale + self.value.scale - scale
-            t = scale - self.ctx.working_dp
-            terms = (10 ** max(e, 0), self.value.significand * 10 ** max(-e, 0),
-                     10 ** max(-t, 0), 10 ** max(t, 0))
-            self._terms_by_scale[scale] = terms
-        return terms
-
-    @cached_property
-    def _truncated(self) -> int:
-        """The value times 10**working_dp, truncated: what digits_correct
-        compares every sample with."""
-        _, _, c, d = self._terms(self.value.scale)
-        return self.value.significand * c // d
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_terms", _ScaleTerms(self.value, self.ctx))
 
 
 def _check_prefix(value: BigFixed, what: str) -> None:
@@ -137,11 +142,10 @@ def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
     there, so signed = 100 * (10**S - round(x * 10**S / ref)) * 10**-S.
     The reference is positive (reference_pi keeps it in (3, 4)).
     """
-    a, b, _, _ = ref._terms(x.scale)
-    signed = BigFixed(
-        100 * (ref._unit - _div_half_even(x.significand * a, b)), ref.ctx.scale
-    )
-    return signed, signed if signed.significand >= 0 else -signed
+    a, b, unit, scale, _, _, _, _ = ref._terms[x.scale]
+    sig = 100 * (unit - _div_half_even(x.significand * a, b))
+    signed = _fixed(sig, scale)
+    return signed, signed if sig >= 0 else _fixed(-sig, scale)
 
 
 def digits_correct(x: BigFixed, ref: ReferencePi) -> int:
@@ -152,9 +156,8 @@ def digits_correct(x: BigFixed, ref: ReferencePi) -> int:
     """
     if x.significand < 0:
         return 0
-    dp = ref.ctx.working_dp
-    _, _, c, d = ref._terms(x.scale)
-    a, b = x.significand * c // d, ref._truncated
+    _, _, _, _, c, d, b, dp = ref._terms[x.scale]
+    a = x.significand * c // d
     if a == b:
         return dp
     # k is the fewest trailing digits whose removal makes a and b agree.
@@ -247,12 +250,15 @@ def run(
     """One incremental pass, yielding a record at each scheduled n.
 
     The arguments are checked, and the reference built, when run is called;
-    the records are computed as they are taken.
+    the records are computed as they are taken. A given reference must have
+    been built for ctx: the metrics are taken at the reference's context.
     """
     method = MethodId(method)
     check_index(method, schedule.first)
     if ref is None:
         ref = reference_pi(ctx)
+    elif ref.ctx != ctx:
+        raise ValueError(f"reference is for {ref.ctx}, not the run's {ctx}")
     return _records(method, make_state(method, ctx), schedule, ctx, ref)
 
 
@@ -264,8 +270,12 @@ def _records(
     ref: ReferencePi,
 ) -> Iterator[RunRecord]:
     # The clock runs only while this body does, so the time a consumer
-    # spends between records is not in elapsed_ns.
+    # spends between records is not in elapsed_ns. tuple.__new__ builds a
+    # record as RunRecord.__new__ does, without its Python-level call; the
+    # metrics are looked up as globals on each record, so a wrapper
+    # installed around them sees every call.
     advance_to, value_of, clock = state.advance_to, state.value, time.perf_counter_ns
+    new_record = tuple.__new__
     working_dp = ctx.working_dp
     elapsed = 0
     start = clock()
@@ -274,10 +284,10 @@ def _records(
         value = value_of()
         sampled = elapsed + clock() - start
         signed, absolute = pct_error(value, ref)
-        record = RunRecord(
+        record = new_record(RunRecord, (
             method, target, value, signed, absolute,
             digits_correct(value, ref), sampled, working_dp,
-        )
+        ))
         elapsed += clock() - start
         yield record
         start = clock()
@@ -302,8 +312,8 @@ def compare_args(
 ) -> tuple[tuple[MethodId, ...], tuple[BigFixed, ...]]:
     """(methods, thresholds) as tuples, the default thresholds filled in;
     ValueError unless there are two or more methods, none repeated, each
-    defined at the schedule's first n, and the thresholds are positive and
-    strictly decreasing."""
+    defined at the schedule's first n, and the thresholds are non-empty,
+    positive and strictly decreasing."""
     methods = tuple(MethodId(m) for m in methods)
     if len(methods) < 2:
         raise ValueError("compare needs at least two methods")
@@ -314,9 +324,11 @@ def compare_args(
     if thresholds is None:
         thresholds = tuple(fx_parse(t) for t in DEFAULT_THRESHOLDS)
     thresholds = tuple(thresholds)
+    if not thresholds:
+        raise ValueError("thresholds must be non-empty")
     if any(t.significand <= 0 for t in thresholds):
         raise ValueError("thresholds must be positive")
-    if not thresholds or any(b >= a for a, b in zip(thresholds, thresholds[1:])):
+    if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly decreasing")
     return methods, thresholds
 

@@ -35,6 +35,7 @@ from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
     _div_half_even,
+    _fixed,
     _iroot,
     _isqrt_nearest,
     fx_nth_root,
@@ -99,7 +100,7 @@ class WallisState(ApproximantState):
 
     def value(self) -> BigFixed:
         check_index(self.method, self.n)
-        return BigFixed(self._acc, self.ctx.scale)
+        return _fixed(self._acc, self.ctx.scale)
 
 
 class LeibnizState(ApproximantState):
@@ -129,7 +130,7 @@ class LeibnizState(ApproximantState):
         self._acc, self.n = acc, k
 
     def value(self) -> BigFixed:
-        return BigFixed(self._acc, self.ctx.scale)
+        return _fixed(self._acc, self.ctx.scale)
 
 
 class NewtonArcsineState(ApproximantState):
@@ -163,7 +164,7 @@ class NewtonArcsineState(ApproximantState):
         self._t, self._acc, self.n = t, acc, max(k, target)
 
     def value(self) -> BigFixed:
-        return BigFixed(6 * self._acc, self.ctx.scale)
+        return _fixed(6 * self._acc, self.ctx.scale)
 
 
 class EulerCFState(ApproximantState):
@@ -193,7 +194,7 @@ class EulerCFState(ApproximantState):
 
     def value(self) -> BigFixed:
         check_index(self.method, self.n)
-        return BigFixed(
+        return _fixed(
             _div_half_even(4 * self._b * 10 ** self.ctx.scale, self._a),
             self.ctx.scale,
         )
@@ -241,7 +242,7 @@ class VieteState(ApproximantState):
 
     def value(self) -> BigFixed:
         check_index(self.method, self.n)
-        return BigFixed(_isqrt_nearest(4 * self._d * self._one), self.ctx.scale)
+        return _fixed(_isqrt_nearest(4 * self._d * self._one), self.ctx.scale)
 
 
 class ZetaState(ApproximantState):
@@ -261,7 +262,7 @@ class ZetaState(ApproximantState):
 
     def value(self) -> BigFixed:
         check_index(self.method, self.n)
-        radicand = BigFixed(self._constant * self._acc, self.ctx.scale)
+        radicand = _fixed(self._constant * self._acc, self.ctx.scale)
         return fx_nth_root(radicand, self._s, self.ctx)
 
 

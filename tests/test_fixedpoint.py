@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
     _div_half_even,
+    _fixed,
     _iroot,
     default_guard,
     fx_nth_root,
@@ -37,6 +39,36 @@ class TestConstruction:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             BigFixed(1, -1)
+
+    def test_slotted_and_frozen(self):
+        x = BigFixed(314, 2)
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.scale = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.significand = 1
+        assert (x.significand, x.scale) == (314, 2)
+
+    def test_private_constructor_zero_is_canonical(self):
+        z = _fixed(0, 9)
+        assert (z.significand, z.scale) == (0, 0)
+        assert not hasattr(z, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            z.scale = 9
+
+    @given(st.integers(-10 ** 20, 10 ** 20), st.integers(0, 25),
+           st.integers(-10 ** 20, 10 ** 20), st.integers(0, 25))
+    @example(0, 7, 0, 0)
+    @example(5, 1, 50, 2)
+    def test_private_constructor_is_the_public_one(self, a, sa, b, sb):
+        fast, public = _fixed(a, sa), BigFixed(a, sa)
+        other = BigFixed(b, sb)
+        assert type(fast) is BigFixed
+        assert (fast.significand, fast.scale) == (public.significand, public.scale)
+        assert fast == public and hash(fast) == hash(public)
+        assert (fast == other) == (public == other)
+        assert (fast < other, fast > other) == (public < other, public > other)
+        assert (_fixed(b, sb) <= fast) == (other <= public)
 
     def test_ctx_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact
+from conftest import exact, mp_string
 from pibench import harness
 from pibench.fixedpoint import (
     BigFixed,
@@ -21,6 +21,7 @@ from pibench.harness import (
     PAIRINGS,
     TABLE_PRESETS,
     ReferenceIntegrityError,
+    RunRecord,
     Schedule,
     compare,
     digits_correct,
@@ -168,6 +169,21 @@ def _metric_cases(draw):
     return BigFixed(sig, scale), ref
 
 
+@st.composite
+def _run_cases(draw):
+    """(method, schedule, ctx, ref): any method and context, with a computed
+    reference or a literal one longer than the context scale."""
+    method = draw(st.sampled_from(MethodId))
+    ctx = PrecisionCtx(draw(st.integers(1, 30)), draw(st.integers(0, 12)))
+    literal = None
+    if draw(st.booleans()):
+        digits = max(ctx.scale, 15) + draw(st.integers(1, 20))
+        literal = mp_string(lambda: mpmath.pi, digits, dps=100)
+    ref = reference_pi(ctx, literal)
+    points = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
+    return method, Schedule(sorted(points)), ctx, ref
+
+
 class TestIntegerMetrics:
     """pct_error and digits_correct on integers, bit for bit against the
     exact-rational and string forms kept above as oracles."""
@@ -302,6 +318,33 @@ class TestRun:
         steps = [b - a for a, b in zip(elapsed, elapsed[1:])]
         assert all(0 <= s < 20_000_000 for s in steps), steps
 
+    def test_reference_for_another_context_is_rejected(self):
+        # The metrics are taken at the reference's context: with this
+        # 5-digit reference, a 15-digit run reported 5 correct digits and a
+        # 0 % error.
+        ref5 = reference_pi(PrecisionCtx(5, 0))
+        with pytest.raises(ValueError, match="reference is for"):
+            run(MethodId.NEWTON_ARCSINE, Schedule(range(60, 61)), PrecisionCtx(15, 12), ref5)
+        (record,) = run(MethodId.NEWTON_ARCSINE, Schedule(range(60, 61)), PrecisionCtx(15, 12))
+        assert record.digits_correct == 15
+
+    @given(_run_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_records_are_the_metrics(self, case):
+        # Each record, built without RunRecord's constructor, equals one
+        # built through it from the two metric definitions.
+        method, schedule, ctx, ref = case
+        for r in run(method, schedule, ctx, ref):
+            signed, absolute = pct_error(r.value, ref)
+            want = RunRecord(method, r.n, r.value, signed, absolute,
+                             digits_correct(r.value, ref), r.elapsed_ns, ctx.working_dp)
+            assert type(r) is RunRecord and r == want
+            assert [(v.significand, v.scale) for v in r[2:5]] == [
+                (v.significand, v.scale) for v in want[2:5]
+            ]
+            untimed = r._replace(elapsed_ns=0)
+            assert type(untimed) is RunRecord and untimed == want._replace(elapsed_ns=0)
+
     def test_guard_sufficiency(self, ref15):
         sched = Schedule(tuple(range(5, 101, 5)))
         base = run(MethodId.WALLIS, sched, PrecisionCtx(15, 12), ref15)
@@ -314,6 +357,10 @@ class TestCompare:
     def test_needs_two_methods(self, ctx15):
         with pytest.raises(ValueError):
             compare([MethodId.WALLIS], Schedule((5,)), ctx15)
+
+    def test_thresholds_must_be_non_empty(self, ctx15):
+        with pytest.raises(ValueError, match="thresholds must be non-empty"):
+            compare([MethodId.NEWTON_ARCSINE, MethodId.ZETA8], Schedule(range(1, 3)), ctx15, ())
 
     def test_thresholds_must_decrease(self, ctx15):
         with pytest.raises(ValueError):

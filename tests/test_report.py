@@ -127,6 +127,37 @@ class TestPlotData:
         assert signs == [i % 2 == 0 for i in range(21)]  # even n overshoots
 
 
+@st.composite
+def _to_print(draw, dp=None):
+    """(x, dp): x at a scale below, equal to or above dp, and a third of the
+    time exactly half-way between two printed values."""
+    if dp is None:
+        dp = draw(st.integers(0, 25))
+    scale = draw(st.integers(max(dp - 3, 0), dp + 15))
+    if scale > dp and draw(st.integers(0, 2)) == 0:
+        sig = (2 * draw(st.integers(-10**12, 10**12)) + 1) * 5 * 10**(scale - dp - 1)
+    else:
+        sig = draw(st.integers(-10**25, 10**25))
+    return BigFixed(sig, scale), dp
+
+
+@given(_to_print(), _to_print(ERR_DP))
+@example((BigFixed(25, 2), 1), (BigFixed(-35, 6), ERR_DP))  # ties to even
+@example((BigFixed(-35, 2), 1), (BigFixed(25, 6), ERR_DP))
+@example((BigFixed(314, 2), 2), (BigFixed(1, 5), ERR_DP))  # scale == dp
+@example((BigFixed(314, 2), 5), (BigFixed(1, 4), ERR_DP))  # scale < dp
+@example((BigFixed(25, 1), 0), (BigFixed(0, 9), ERR_DP))  # dp 0, zero error
+def test_csv_cells_are_fx_to_string(value, err):
+    # csv_line prints its value and error cells from one division each; they
+    # must be exactly what fx_to_string prints.
+    (v, dp), (e, _) = value, err
+    record = RunRecord(MethodId.NEWTON_ARCSINE, 7, v, e, abs(e), 3, 11, dp)
+    assert csv_line(record) == (
+        f"newton,7,{fx_to_string(v, dp)},{fx_to_string(e, ERR_DP)},"
+        f"{fx_to_string(abs(e), ERR_DP)},3,11\n"
+    )
+
+
 @given(sig=st.integers(-10**9, 10**9), scale=st.integers(0, 12))
 @example(sig=-5, scale=6)  # -0.000005: a tie that rounds to zero from below
 @example(sig=-4, scale=6)
