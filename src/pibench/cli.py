@@ -65,14 +65,14 @@ def parse_schedule_expr(expr: str) -> Schedule:
 
 
 def parse_decimal_exp(s: str) -> BigFixed:
-    """Decimal literal with optional exponent, e.g. 0.5 or 1e-3."""
+    """Decimal number with optional exponent, e.g. 0.5 or 1e-3."""
     s = s.strip()
     mant, sep, exp_s = s.partition("e") if "e" in s else s.partition("E")
     try:
         exp = int(exp_s) if sep else 0
         v = fx_parse(mant)
     except ValueError:
-        raise UsageError(f"bad decimal literal {s!r}")
+        raise UsageError(f"bad decimal number {s!r}")
     if exp >= v.scale:
         return BigFixed(v.significand * 10 ** (exp - v.scale), 0)
     return BigFixed(v.significand, v.scale - exp)
@@ -104,7 +104,6 @@ def _build_parser() -> _Parser:
     runp = sub.add_parser("run", help="sample one method over a schedule")
     runp.add_argument("--method", dest="methods", metavar="METHOD", required=True)
     runp.add_argument("--schedule", required=True)
-    runp.add_argument("--reference", default=None, help="override the computed reference value")
     runp.set_defaults(handler=_cmd_run)
 
     cmp_ = sub.add_parser("compare", help="align several methods on one schedule")
@@ -123,7 +122,6 @@ def _build_parser() -> _Parser:
     # The options several commands share, each declared once.
     for cmd in (runp, cmp_):
         cmd.add_argument("--dp", type=int, default=15)
-        cmd.add_argument("--guard", type=int, default=None)
         cmd.add_argument("--format", dest="fmt", choices=("md", "csv", "plot"), default="md")
     for cmd in (runp, cmp_, tab):
         cmd.add_argument("--out", default=None)
@@ -133,23 +131,19 @@ def _build_parser() -> _Parser:
 def parse_args(argv) -> argparse.Namespace:
     """The parsed command line. For run and compare, methods, schedule, ctx
     and thresholds are converted, and checked by the library's rules, so a
-    bad argument fails before any output is opened."""
+    bad argument fails before any output is opened. ctx is --dp working
+    digits and the schedule's default_guard."""
     ns = _build_parser().parse_args(argv)
     if ns.command not in ("run", "compare"):
         return ns
-    if ns.dp < 1:
-        raise UsageError("--dp must be >= 1")
-    if ns.guard is not None and ns.guard < 0:
-        raise UsageError("--guard must be >= 0")
     ns.schedule = parse_schedule_expr(ns.schedule)
-    guard = default_guard(ns.schedule.max_n) if ns.guard is None else ns.guard
-    ns.ctx = PrecisionCtx(ns.dp, guard)
     ns.methods = _parse_methods(ns.methods)
     if ns.command == "run" and len(ns.methods) != 1:
         raise UsageError("run takes exactly one --method")
     if ns.command == "compare" and ns.thresholds is not None:
         ns.thresholds = tuple(map(parse_decimal_exp, ns.thresholds.split(",")))
     try:
+        ns.ctx = PrecisionCtx(ns.dp, default_guard(ns.schedule.max_n))
         if ns.command == "run":
             check_index(ns.methods[0], ns.schedule.first)
         else:
@@ -179,10 +173,7 @@ def _render_records(records, fmt: str, value_dp: int) -> str:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    try:
-        ref = reference_pi(ns.ctx, ns.reference)
-    except ValueError:
-        raise UsageError(f"bad --reference literal {ns.reference!r}") from None
+    ref = reference_pi(ns.ctx)  # before --out is opened: exit 2 leaves it alone
     with _open_out(ns.out) as out:
         records = run(ns.methods[0], ns.schedule, ns.ctx, ref)
         if ns.fmt == "csv":  # written as computed: no record is kept

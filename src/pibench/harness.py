@@ -12,6 +12,7 @@ from .fixedpoint import (
     PrecisionCtx,
     _div_half_even,
     _fixed,
+    default_guard,
     fx_parse,
     fx_round,
     fx_to_string,
@@ -19,8 +20,8 @@ from .fixedpoint import (
 )
 from .methods import MethodId, ZETA_METHODS, check_index, make_state
 
-# 15-decimal-place integrity anchor; every computed or supplied reference
-# must reproduce these digits under truncation or the run aborts.
+# 15-decimal-place integrity anchor; the computed reference must reproduce
+# these digits under truncation or the run aborts.
 PI_15DP = "3.141592653589793"
 
 
@@ -61,20 +62,11 @@ class _ScaleTerms(dict):
 @dataclass(frozen=True)
 class ReferencePi:
     value: BigFixed
-    provenance: str  # "computed" | "user-literal"
     ctx: PrecisionCtx
     _terms: _ScaleTerms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_terms", _ScaleTerms(self.value, self.ctx))
-
-
-def _check_prefix(value: BigFixed, what: str) -> None:
-    got = fx_truncate_string(value, 15)
-    if got != PI_15DP:
-        raise ReferenceIntegrityError(
-            f"{what} fails the 15-digit integrity check: {got} != {PI_15DP}"
-        )
 
 
 def _atan_inv(x: int, one: int) -> int:
@@ -93,15 +85,14 @@ def _atan_inv(x: int, one: int) -> int:
     return total
 
 
-def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
+def reference_pi(ctx: PrecisionCtx) -> ReferencePi:
     """Reference value of pi at the context scale c, from no method under
     test.
 
-    Computed mode sums Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239),
-    in integers at an inner scale s (see _atan_inv), checks the first 15
-    fractional digits of that unrounded sum against the known constant, and
-    rounds it half-even to c. Literal mode validates and wraps a
-    caller-supplied decimal string.
+    Sums Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239), in integers
+    at an inner scale s (see _atan_inv), checks the first 15 fractional
+    digits of that unrounded sum against the known constant, and rounds it
+    half-even to c.
 
     Bound in ulps u = 10^-s, after Brent & Zimmermann (2010), 4.2. Each of
     the n_x terms of atan(1/x) is floored, so off by under 1 u, and the tail
@@ -116,23 +107,18 @@ def reference_pi(ctx: PrecisionCtx, literal: str | None = None) -> ReferencePi:
     within 0.1 ulp of pi at scale c; for c < 15, s is 18 or 19 and the
     error is under 0.003 ulp of c. The rounded reference is within 0.6 ulp
     of pi. Measured: 0.497 ulp worst over working_dp 1-30, 150, 400 and
-    1000 with guard_dp 0-15. The sums at s = 18 and 19 are 13.5 u above
+    1000 with 0-15 guard digits. The sums at s = 18 and 19 are 13.5 u above
     and 12.6 u below pi, well inside the 15-digit check.
     """
-    if literal is not None:
-        v = fx_parse(literal)
-        if not (BigFixed(3) < v < BigFixed(4)):
-            raise ReferenceIntegrityError(f"reference literal {literal!r} not in (3, 4)")
-        _check_prefix(v, f"reference literal {literal!r}")
-        if v.scale < ctx.scale:
-            v = fx_round(v, ctx.scale)
-        return ReferencePi(v, "user-literal", ctx)
-
     s = max(ctx.scale, 15) + len(str(20 * ctx.scale)) + 1
     one = 10 ** s
     pi = BigFixed(16 * _atan_inv(5, one) - 4 * _atan_inv(239, one), s)
-    _check_prefix(pi, "computed reference")
-    return ReferencePi(fx_round(pi, ctx.scale), "computed", ctx)
+    got = fx_truncate_string(pi, 15)
+    if got != PI_15DP:
+        raise ReferenceIntegrityError(
+            f"computed reference fails the 15-digit integrity check: {got} != {PI_15DP}"
+        )
+    return ReferencePi(fx_round(pi, ctx.scale), ctx)
 
 
 def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
@@ -140,7 +126,7 @@ def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
 
     x/ref is rounded half-even at the context scale S; the rest is exact
     there, so signed = 100 * (10**S - round(x * 10**S / ref)) * 10**-S.
-    The reference is positive (reference_pi keeps it in (3, 4)).
+    The reference is positive (reference_pi checks that it begins 3.14).
     """
     a, b, unit, scale, _, _, _, _ = ref._terms[x.scale]
     sig = 100 * (unit - _div_half_even(x.significand * a, b))
@@ -373,12 +359,13 @@ class TablePreset:
     methods: tuple[MethodId, ...]
     schedule: Schedule
     working_dp: int  # also the printed value digits
-    guard_dp: int
     columns: tuple[tuple[str, str], ...] = _VALUE_AND_ERR
 
     @property
     def ctx(self) -> PrecisionCtx:
-        return PrecisionCtx(self.working_dp, self.guard_dp)
+        """The precision every run takes: working_dp, and the guard digits
+        default_guard gives the schedule's largest n."""
+        return PrecisionCtx(self.working_dp, default_guard(self.schedule.max_n))
 
 
 # One run each: a schedule of several runs merges them with heapq, whose
@@ -388,20 +375,19 @@ _SCHED_SMALL = Schedule(tuple(range(1, 11)) + tuple(range(15, 101, 5)))
 _SCHED_MID = Schedule(range(5, 101, 5))
 
 TABLE_PRESETS = {
-    1: TablePreset((MethodId.WALLIS,), _SCHED_LARGE, 15, 17),
-    2: TablePreset((MethodId.LEIBNIZ,), _SCHED_LARGE, 15, 17),
-    3: TablePreset((MethodId.NEWTON_ARCSINE,), _SCHED_LARGE, 15, 17),
-    4: TablePreset((MethodId.EULER_CF,), _SCHED_SMALL, 15, 12),
-    5: TablePreset((MethodId.VIETE,), _SCHED_SMALL, 15, 12),
-    6: TablePreset(ZETA_METHODS, _SCHED_MID, 14, 12, columns=(("value", "{method}"),)),
-    7: TablePreset(ZETA_METHODS, _SCHED_MID, 14, 12, columns=(("err", "{method}"),)),
+    1: TablePreset((MethodId.WALLIS,), _SCHED_LARGE, 15),
+    2: TablePreset((MethodId.LEIBNIZ,), _SCHED_LARGE, 15),
+    3: TablePreset((MethodId.NEWTON_ARCSINE,), _SCHED_LARGE, 15),
+    4: TablePreset((MethodId.EULER_CF,), _SCHED_SMALL, 15),
+    5: TablePreset((MethodId.VIETE,), _SCHED_SMALL, 15),
+    6: TablePreset(ZETA_METHODS, _SCHED_MID, 14, columns=(("value", "{method}"),)),
+    7: TablePreset(ZETA_METHODS, _SCHED_MID, 14, columns=(("err", "{method}"),)),
 }
 
 
 def run_table(table_id: int) -> list[RunRecord]:
     """Records of every method of a published table, in registry order."""
     preset = TABLE_PRESETS[table_id]
-    ref = reference_pi(preset.ctx)
-    return [
-        r for m in preset.methods for r in run(m, preset.schedule, preset.ctx, ref)
-    ]
+    ctx = preset.ctx
+    ref = reference_pi(ctx)
+    return [r for m in preset.methods for r in run(m, preset.schedule, ctx, ref)]

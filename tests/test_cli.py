@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from pibench.cli import (
     parse_decimal_exp,
     parse_schedule_expr,
 )
-from pibench.fixedpoint import BigFixed, PrecisionCtx, default_guard
+from pibench.fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_to_string
 from pibench.harness import run
 from pibench.methods import ApproximantState, MethodId
 from pibench.report import CSV_HEADER
@@ -152,18 +154,22 @@ class TestParseArgs:
     def test_context_built_once(self):
         cfg = parse_args(["run", "--method", "wallis", "--schedule", "5:100:5,1000"])
         assert cfg.ctx == PrecisionCtx(15, default_guard(1000))
-        cfg = parse_args(["compare", "--methods", "newton,zeta8", "--dp", "20", "--guard", "0"])
-        assert cfg.ctx == PrecisionCtx(20, 0)
+        cfg = parse_args(["compare", "--methods", "newton,zeta8", "--dp", "20"])
+        assert cfg.ctx == PrecisionCtx(20, default_guard(100))
         assert parse_args(["table", "--id", "1"]).ctx is None
 
-    @pytest.mark.parametrize("flag, value", [("--dp", "0"), ("--guard", "-1")])
-    def test_bad_precision_exits_before_a_context(self, flag, value, capsys, monkeypatch):
-        def no_context(*args):
-            raise AssertionError("context built from a bad precision")
-
-        monkeypatch.setattr(cli, "PrecisionCtx", no_context)
-        assert main(["run", "--method", "wallis", "--schedule", "5", flag, value]) == 1
-        assert capsys.readouterr().err.startswith(f"pibench: {flag} must be")
+    @pytest.mark.parametrize("command", [
+        ["run", "--method", "wallis", "--schedule", "5"],
+        ["compare", "--methods", "newton,zeta8"],
+    ], ids=["run", "compare"])
+    def test_bad_precision_exits_before_out_is_opened(self, command, tmp_path, capsys):
+        # PrecisionCtx's own rule, reported as a usage error.
+        path = tmp_path / "x.csv"
+        assert main([*command, "--dp", "0", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pibench: working_dp must be >= 1\n"
+        assert not path.exists()
 
 
 class TestMainExitCodes:
@@ -177,7 +183,9 @@ class TestMainExitCodes:
         ["compare", "--methods", "newton,zeta8", "--thresholds", "1e-8,1e-3"],
         ["compare", "--methods", "newton,zeta8", "--thresholds", "0"],
         ["compare", "--methods", "newton,newton", "--schedule", "1:3:1"],
-        ["run", "--method", "wallis", "--schedule", "5", "--reference", "abc"],
+        ["run", "--method", "wallis", "--schedule", "5", "--reference", "3.14159265358979"],
+        ["run", "--method", "wallis", "--schedule", "5", "--guard", "0"],
+        ["compare", "--methods", "newton,zeta8", "--guard", "3"],
     ])
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 1
@@ -186,11 +194,14 @@ class TestMainExitCodes:
         assert captured.err.startswith("pibench: ")
         assert len(captured.err.splitlines()) == 1
 
-    def test_reference_integrity_exit_2(self, capsys):
-        rc = main(["run", "--method", "wallis", "--schedule", "5",
-                   "--reference", "2.9"])
+    def test_reference_integrity_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_atan_inv", lambda x, one: one // x)
+        rc = main(["run", "--method", "wallis", "--schedule", "5"])
         assert rc == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pibench: reference integrity: computed reference")
+        assert len(captured.err.splitlines()) == 1
 
     def test_run_csv(self, capsys):
         assert main(["run", "--method", "wallis", "--schedule", "5,10",
@@ -200,6 +211,19 @@ class TestMainExitCodes:
         rows = [ln.split(",") for ln in lines[1:]]
         assert [row[1] for row in rows] == ["5", "10"]
         assert rows[0][2] == "3.002175954556907"
+
+    @pytest.mark.parametrize("method, n, dp, exact", [
+        ("newton", 1, 40, 6 * (Fraction(1, 2) + Fraction(1, 48))),
+        ("wallis", 1000, 30, 2 * math.prod(Fraction(4 * k * k, 4 * k * k - 1)
+                                           for k in range(1, 1001))),
+    ], ids=["newton-1", "wallis-1000"])
+    def test_run_prints_the_rounded_approximant(self, method, n, dp, exact, capsys):
+        # With the guard derived from the schedule, the printed value is the
+        # exact approximant rounded half-even.
+        assert main(["run", "--method", method, "--schedule", str(n),
+                     "--dp", str(dp), "--format", "csv"]) == 0
+        value = capsys.readouterr().out.splitlines()[1].split(",")[2]
+        assert value == fx_to_string(BigFixed(round(exact * 10 ** dp), dp), dp)
 
     def test_run_below_13_dp(self, capsys):
         assert main(["run", "--method", "wallis", "--schedule", "5",
@@ -259,12 +283,13 @@ class TestMainExitCodes:
         assert captured.err.startswith(f"pibench: cannot write {path}")
         assert len(captured.err.splitlines()) == 1
 
-    def test_reference_failure_leaves_out_alone(self, tmp_path, capsys):
+    def test_reference_failure_leaves_out_alone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_atan_inv", lambda x, one: one // x)
         kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
         kept.write_text("earlier output\n")
         for path in (kept, fresh):
             assert main(["run", "--method", "wallis", "--schedule", "5",
-                         "--reference", "2.9", "--out", str(path)]) == 2
+                         "--out", str(path)]) == 2
         assert kept.read_text() == "earlier output\n"
         assert not fresh.exists()
         capsys.readouterr()
@@ -348,7 +373,8 @@ class TestMainExitCodes:
 
 @pytest.fixture
 def small_selftest(monkeypatch):
-    """Shrink Tables 1-3 to n <= 100, so a full selftest takes milliseconds."""
+    """Shrink Tables 1-3 to n <= 100, so a full selftest takes milliseconds.
+    Their guard follows the schedule, so it falls from 17 to 12 digits."""
     from dataclasses import replace
 
     from pibench.harness import TABLE_PRESETS, Schedule
@@ -357,7 +383,7 @@ def small_selftest(monkeypatch):
     data = goldens.load()
     small = Schedule(tuple(range(5, 101, 5)))
     for tid in (1, 2, 3):
-        preset = replace(TABLE_PRESETS[tid], schedule=small, guard_dp=12)
+        preset = replace(TABLE_PRESETS[tid], schedule=small)
         monkeypatch.setitem(TABLE_PRESETS, tid, preset)
         rows = [r for r in data[str(tid)]["rows"] if r["n"] <= 100]
         monkeypatch.setitem(data[str(tid)], "rows", rows)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact, mp_string
+from conftest import exact
 from pibench import harness
 from pibench.fixedpoint import (
     BigFixed,
@@ -21,6 +22,7 @@ from pibench.harness import (
     PAIRINGS,
     TABLE_PRESETS,
     ReferenceIntegrityError,
+    ReferencePi,
     RunRecord,
     Schedule,
     compare,
@@ -35,7 +37,6 @@ from pibench.methods import ApproximantState, MethodId, NewtonArcsineState, zeta
 class TestReferencePi:
     def test_computed_15dp(self, ctx15, ref15):
         assert fx_to_string(ref15.value, 15) == "3.141592653589793"
-        assert ref15.provenance == "computed"
 
     def test_computed_20dp_prefix(self):
         ref = reference_pi(PrecisionCtx(20, 10))
@@ -80,22 +81,18 @@ class TestReferencePi:
         ref = reference_pi(PrecisionCtx(15, 17))
         assert fx_to_string(ref.value, 15) == "3.141592653589793"
 
-    def test_literal_ok(self, ctx15):
-        ref = reference_pi(ctx15, "3.1415926535897932384626433832795028841")
-        assert ref.provenance == "user-literal"
-        assert fx_to_string(ref.value, 15) == "3.141592653589793"
+    def test_broken_machin_sum_raises(self, ctx15, monkeypatch):
+        # One term only (the sum is 3.18...), and the whole series but with
+        # atan(1/5) 10^-15 * 5/16 high, which moves pi's 15th digit alone.
+        atan_inv = harness._atan_inv
 
-    def test_literal_out_of_range(self, ctx15):
-        with pytest.raises(ReferenceIntegrityError):
-            reference_pi(ctx15, "2.9")
+        def high(x, one):
+            return atan_inv(x, one) + (5 * one // (16 * 10 ** 15) if x == 5 else 0)
 
-    def test_literal_bad_prefix(self, ctx15):
-        with pytest.raises(ReferenceIntegrityError):
-            reference_pi(ctx15, "3.141592653589999")
-
-    def test_literal_too_short(self, ctx15):
-        with pytest.raises(ReferenceIntegrityError):
-            reference_pi(ctx15, "3.14159")
+        for broken in (lambda x, one: one // x, high):
+            monkeypatch.setattr(harness, "_atan_inv", broken)
+            with pytest.raises(ReferenceIntegrityError, match="computed reference fails"):
+                reference_pi(ctx15)
 
 
 class TestPctError:
@@ -142,19 +139,18 @@ PI_50 = "3.14159265358979323846264338327950288419716939937510"
 
 
 @lru_cache(maxsize=None)
-def _ref(working, guard, literal):
-    return reference_pi(PrecisionCtx(working, guard), PI_50 if literal else None)
+def _ref(working, guard, fine):
+    """The computed reference, or with fine set PI_50 at its own 50 digits,
+    finer than any context here."""
+    ctx = PrecisionCtx(working, guard)
+    return ReferencePi(fx_parse(PI_50), ctx) if fine else reference_pi(ctx)
 
 
 @st.composite
 def _metric_cases(draw):
-    """(x, ref): computed references (which need working_dp >= 13 to pass
-    their 15-digit check) and the 50-digit literal, kept at its own scale
-    above the context's; x of either sign at scales above and below the
-    context's, far from pi or near it."""
-    literal = draw(st.booleans())
-    working = draw(st.integers(1 if literal else 13, 30))
-    ref = _ref(working, draw(st.integers(0, 15)), literal)
+    """(x, ref): computed references and the 50-digit one; x of either
+    sign at scales above and below the context's, far from pi or near it."""
+    ref = _ref(draw(st.integers(1, 30)), draw(st.integers(0, 15)), draw(st.booleans()))
     # Up to beyond ctx.scale + ref.scale, where pct_error scales ref up
     # instead of x.
     scale = draw(st.integers(0, ref.ctx.scale + ref.value.scale + 20))
@@ -172,14 +168,10 @@ def _metric_cases(draw):
 @st.composite
 def _run_cases(draw):
     """(method, schedule, ctx, ref): any method and context, with a computed
-    reference or a literal one longer than the context scale."""
+    reference or the 50-digit one, finer than the context."""
     method = draw(st.sampled_from(MethodId))
-    ctx = PrecisionCtx(draw(st.integers(1, 30)), draw(st.integers(0, 12)))
-    literal = None
-    if draw(st.booleans()):
-        digits = max(ctx.scale, 15) + draw(st.integers(1, 20))
-        literal = mp_string(lambda: mpmath.pi, digits, dps=100)
-    ref = reference_pi(ctx, literal)
+    ref = _ref(draw(st.integers(1, 30)), draw(st.integers(0, 12)), draw(st.booleans()))
+    ctx = ref.ctx
     points = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
     return method, Schedule(sorted(points)), ctx, ref
 
@@ -485,6 +477,16 @@ class TestPresets:
         for tid in (6, 7):
             assert TABLE_PRESETS[tid].working_dp == 14
         assert ERR_DP == 5
+
+    def test_contexts_derive_their_guard(self):
+        # default_guard of each schedule's largest n: 10^7 for Tables 1-3,
+        # 100 for Tables 4-7.
+        want = {1: (15, 17), 2: (15, 17), 3: (15, 17), 4: (15, 12), 5: (15, 12),
+                6: (14, 12), 7: (14, 12)}
+        for tid, preset in TABLE_PRESETS.items():
+            assert preset.ctx == PrecisionCtx(*want[tid]), tid
+        shrunk = replace(TABLE_PRESETS[1], schedule=Schedule(range(5, 101, 5)))
+        assert shrunk.ctx == PrecisionCtx(15, 12)
 
     def test_goldens_agree_with_registry(self):
         # One row shape: {"n", "values"?, "errs"?, "flags"}. The preset
