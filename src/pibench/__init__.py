@@ -27,16 +27,7 @@ from .harness import (
     reference_pi,
     run,
 )
-from .methods import (
-    MethodId,
-    euler_cf,
-    leibniz,
-    make_state,
-    newton_arcsine,
-    viete,
-    wallis,
-    zeta_pi,
-)
+from .methods import MethodId, approximant, make_state
 
 __version__ = "1.0.0"
 
@@ -58,11 +49,6 @@ __all__ = [
     "reference_pi",
     "run",
     "MethodId",
-    "euler_cf",
-    "leibniz",
+    "approximant",
     "make_state",
-    "newton_arcsine",
-    "viete",
-    "wallis",
-    "zeta_pi",
 ]

@@ -144,6 +144,9 @@ def parse_args(argv) -> argparse.Namespace:
         ns.thresholds = tuple(map(parse_decimal_exp, ns.thresholds.split(",")))
     try:
         ns.ctx = PrecisionCtx(ns.dp, default_guard(ns.schedule.max_n))
+    except ValueError as e:  # the guard is derived, so the rule broken is --dp's
+        raise UsageError(f"bad --dp {ns.dp}: {e}") from None
+    try:
         if ns.command == "run":
             check_index(ns.methods[0], ns.schedule.first)
         else:

@@ -62,69 +62,6 @@ class SelftestReport:
         return "\n".join(self.lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One published cell and its audit flags."""
-
-    where: str
-    method: str
-    n: int
-    column: str  # "value" or "err"
-    published: str
-    recomputed: str | None  # the frozen recomputation of a divergent cell
-    reason: str | None
-
-    @property
-    def divergent(self) -> bool:
-        return self.recomputed is not None
-
-
-def _cells(tid: int, table: dict):
-    """Every published cell of a golden table, in audit order.
-
-    A row holds the published "values" and "errs" strings by method, and a
-    flag for each method with a divergent cell: a column of that cell is
-    divergent iff the flag holds recomputed_<column>. The preset says which
-    methods and columns the table has.
-    """
-    preset = TABLE_PRESETS[tid]
-    for row in table["rows"]:
-        n = row["n"]
-        for column, _ in preset.columns:
-            for method in preset.methods:
-                name = method.value
-                flag = row["flags"].get(name, {})
-                label = column if len(preset.methods) == 1 else name
-                yield Cell(
-                    f"table {tid} n={n} {label}", name, n, column,
-                    row[column + "s"][name], flag.get(f"recomputed_{column}"),
-                    flag.get("reason"),
-                )
-
-
-def _check_cell(lines: list, cell: Cell, computed: str) -> tuple[int, int]:
-    """Append audit lines for one cell; return (divergent_seen, mismatch_seen)."""
-    where, published, recomputed = cell.where, cell.published, cell.recomputed
-    if not cell.divergent:
-        if computed == published:
-            return 0, 0
-        lines.append(
-            f"MISMATCH {where}: computed={computed} published={published}"
-        )
-        return 0, 1
-    if computed == recomputed:
-        lines.append(
-            f"EXPECTED-DIVERGENT {where}: published={published}"
-            f" recomputed={recomputed} ({cell.reason})"
-        )
-        return 1, 0
-    lines.append(
-        f"MISMATCH {where}: computed={computed} differs from frozen"
-        f" recomputation {recomputed} (published={published})"
-    )
-    return 1, 1
-
-
 def _quick_invariants() -> list:
     """Cheap structural checks; returns failure lines (empty when clean)."""
     failures = []
@@ -179,16 +116,48 @@ def _quick_invariants() -> list:
 
 
 def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
-    """Recompute one table; (audit lines, divergent cells, mismatches)."""
+    """Recompute one table; (audit lines, divergent cells, mismatches).
+
+    A row holds the published "values" and "errs" strings by method, and a
+    flag for each method with a divergent cell: a column of that cell is
+    divergent iff the flag holds recomputed_<column>. The preset says which
+    methods and columns the table has.
+    """
+    preset = TABLE_PRESETS[tid]
     spec = TableSpec.for_table(tid)
-    records = {(r.method.value, r.n): r for r in run_table(tid)}
+    records = {(r.method, r.n): r for r in run_table(tid)}
     lines = []
     divergent = bad = 0
-    for cell in _cells(tid, table):
-        computed = spec.cell(records[cell.method, cell.n], cell.column)
-        d, m = _check_cell(lines, cell, computed)
-        divergent += d
-        bad += m
+    for row in table["rows"]:
+        n = row["n"]
+        for column, _ in preset.columns:
+            for method in preset.methods:
+                name = method.value
+                label = column if len(preset.methods) == 1 else name
+                where = f"table {tid} n={n} {label}"
+                published = row[column + "s"][name]
+                flag = row["flags"].get(name, {})
+                recomputed = flag.get(f"recomputed_{column}")
+                computed = spec.cell(records[method, n], column)
+                if recomputed is None:
+                    if computed != published:
+                        bad += 1
+                        lines.append(
+                            f"MISMATCH {where}: computed={computed} published={published}"
+                        )
+                    continue
+                divergent += 1
+                if computed == recomputed:
+                    lines.append(
+                        f"EXPECTED-DIVERGENT {where}: published={published}"
+                        f" recomputed={recomputed} ({flag.get('reason')})"
+                    )
+                else:
+                    bad += 1
+                    lines.append(
+                        f"MISMATCH {where}: computed={computed} differs from frozen"
+                        f" recomputation {recomputed} (published={published})"
+                    )
     return lines, divergent, bad
 
 

@@ -4,7 +4,8 @@ Each generator keeps its accumulators as raw scaled integers (value =
 register * 10**-scale) so that a step is a handful of integer ops with a
 single half-even rounding; BigFixed objects are only materialized when a
 value is read. Re-running a fresh generator to the same index reproduces
-the same bits, so direct functions and resumed state are interchangeable.
+the same bits, so approximant(method, n, ctx) and a resumed state are
+interchangeable.
 
 Index conventions:
   wallis   n >= 1  product upper bound, 2 * prod_{k=1..n} (2k/(2k-1))(2k/(2k+1))
@@ -290,27 +291,13 @@ def check_index(method: MethodId, n: int) -> None:
         raise ValueError(f"{method.value} is defined for n >= {first}")
 
 
-def _run_to(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
+def approximant(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
+    """The n-th approximant of a method, from a fresh state."""
+    method = MethodId(method)
     check_index(method, n)
     state = make_state(method, ctx)
     state.advance_to(n)
     return state.value()
-
-
-def wallis(n: int, ctx: PrecisionCtx) -> BigFixed:
-    return _run_to(MethodId.WALLIS, n, ctx)
-
-
-def leibniz(n: int, ctx: PrecisionCtx) -> BigFixed:
-    return _run_to(MethodId.LEIBNIZ, n, ctx)
-
-
-def newton_arcsine(n: int, ctx: PrecisionCtx) -> BigFixed:
-    return _run_to(MethodId.NEWTON_ARCSINE, n, ctx)
-
-
-def euler_cf(d: int, ctx: PrecisionCtx) -> BigFixed:
-    return _run_to(MethodId.EULER_CF, d, ctx)
 
 
 def euler_cf_convergent(d: int) -> Fraction:
@@ -320,14 +307,3 @@ def euler_cf_convergent(d: int) -> Fraction:
     state = EulerCFState(PrecisionCtx(1, 0))
     state.advance_to(d)
     return Fraction(4 * state._b, state._a)
-
-
-def viete(n: int, ctx: PrecisionCtx) -> BigFixed:
-    return _run_to(MethodId.VIETE, n, ctx)
-
-
-def zeta_pi(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
-    method = MethodId(method)
-    if method not in ZETA_PARAMS:
-        raise ValueError(f"{method.value} is not a zeta method")
-    return _run_to(method, n, ctx)

@@ -81,17 +81,6 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _err_cells(r: RunRecord) -> tuple[str, str]:
-    """The signed and abs error cells of a record, from one rounding.
-
-    Half-even rounding is symmetric, so the abs cell is the signed one
-    without its '-'; a negative error that rounds to zero already prints
-    without one.
-    """
-    signed = fx_to_string(r.signed_err_pct, ERR_DP)
-    return signed, signed.lstrip("-")
-
-
 class _PowersOfTen(dict):
     """e -> 10**e, each computed on its first use."""
 
@@ -143,18 +132,15 @@ def render_csv(records: list[RunRecord]) -> str:
 
 
 def render_plot_data(records: list[RunRecord]) -> str:
-    """Per-method (n, y) column blocks for value and error series."""
+    """Per-method (n, y) column blocks for value and error series: the
+    value, abs and signed error cells of each record's CSV row, regrouped."""
     if not records:
         return ""
     blocks = []
     for method, recs in _group(records).items():
-        errs = [_err_cells(r) for r in recs]
-        for series, cells in (
-            ("value", [r.value_str(r.working_dp) for r in recs]),
-            ("abs_err_pct", [absolute for _, absolute in errs]),
-            ("signed_err_pct", [signed for signed, _ in errs]),
-        ):
+        rows = [csv_line(r).split(",") for r in recs]
+        for series, i in (("value", 2), ("abs_err_pct", 4), ("signed_err_pct", 3)):
             lines = [f"# {method.value} {series}"]
-            lines.extend(f"{r.n} {cell}" for r, cell in zip(recs, cells))
+            lines.extend(f"{row[1]} {row[i]}" for row in rows)
             blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -43,16 +43,7 @@ from pibench.harness import (
     reference_pi,
     run,
 )
-from pibench.methods import (
-    MethodId,
-    euler_cf,
-    euler_cf_convergent,
-    leibniz,
-    make_state,
-    newton_arcsine,
-    viete,
-    zeta_pi,
-)
+from pibench.methods import MethodId, approximant, euler_cf_convergent, make_state
 
 
 @contextmanager
@@ -167,7 +158,7 @@ def test_criterion_3_newton_table(table_runs):
         by_n = {r.n: r for r in records}
         ctx = TABLE_PRESETS[3].ctx
         ref = reference_pi(ctx)
-        assert digits_correct(newton_arcsine(25, ctx), ref) >= 15
+        assert digits_correct(approximant(MethodId.NEWTON_ARCSINE, 25, ctx), ref) >= 15
         for r in records:
             if r.n > 25:
                 assert r.digits_correct >= 15, f"n={r.n}"
@@ -192,7 +183,8 @@ def test_criterion_4_continued_fraction(table_runs):
             assert euler_cf_convergent(d) == series
         one_ulp = Fraction(1, 10 ** 15)
         for d in range(1, 101):
-            diff = exact(euler_cf(d, ctx)) - exact(leibniz(d, ctx))
+            cf = approximant(MethodId.EULER_CF, d, ctx)
+            diff = exact(cf) - exact(approximant(MethodId.LEIBNIZ, d, ctx))
             assert abs(diff) <= one_ulp, f"d={d}"
 
 
@@ -278,7 +270,7 @@ def test_criterion_7_property_suite():
 
         # Viete rate: err(n)/err(n+1) in [3.8, 4.2] for n in 1..20
         rlo, rhi = Fraction("3.8"), Fraction("4.2")
-        errs = [pi - exact(viete(n, ctx)) for n in range(1, 22)]
+        errs = [pi - exact(approximant(MethodId.VIETE, n, ctx)) for n in range(1, 22)]
         for i in range(20):
             ratio = errs[i] / errs[i + 1]
             assert rlo <= ratio <= rhi, f"n={i + 1} ratio={float(ratio):.4f}"
@@ -331,20 +323,20 @@ def test_criterion_8_comparison_presets():
         newton = run(MethodId.NEWTON_ARCSINE, Schedule(tuple(range(1, 101))), ctx, ref)
         first = next((r.n for r in newton if r.digits_correct >= 15), None)
         assert first is not None and first <= 25
-        assert digits_correct(leibniz(30, ctx), ref) <= 2
+        assert digits_correct(approximant(MethodId.LEIBNIZ, 30, ctx), ref) <= 2
 
         # The depth-25 convergent is the n = 25 Leibniz sum (criterion 4),
         # so its error is Table 2's published, non-divergent n = 25 cell.
-        _, viete2_err = pct_error(viete(2, ctx), ref)
-        _, cf25_err = pct_error(euler_cf(25, ctx), ref)
+        _, viete2_err = pct_error(approximant(MethodId.VIETE, 2, ctx), ref)
+        _, cf25_err = pct_error(approximant(MethodId.EULER_CF, 25, ctx), ref)
         assert viete2_err < cf25_err
         leibniz25_err, frozen = _cell(_row(tables["2"], 25), "leibniz", "err")
         assert frozen is None
         assert fx_to_string(cf25_err, 5) == leibniz25_err
 
-        _, newton5_err = pct_error(newton_arcsine(5, ctx), ref)
+        _, newton5_err = pct_error(approximant(MethodId.NEWTON_ARCSINE, 5, ctx), ref)
         zeta_ctx = PrecisionCtx(15, 12)
-        _, zeta8_err = pct_error(zeta_pi(MethodId.ZETA8, 5, zeta_ctx), ref)
+        _, zeta8_err = pct_error(approximant(MethodId.ZETA8, 5, zeta_ctx), ref)
         assert zeta8_err < newton5_err
         factor = exact(newton5_err) / exact(zeta8_err)
         # The factor the published, non-divergent n = 5 cells of Tables 3

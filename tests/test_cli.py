@@ -168,7 +168,7 @@ class TestParseArgs:
         assert main([*command, "--dp", "0", "--out", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "pibench: working_dp must be >= 1\n"
+        assert captured.err == "pibench: bad --dp 0: working_dp must be >= 1\n"
         assert not path.exists()
 
 
@@ -471,6 +471,24 @@ class TestSelftestCommand:
         report = SelftestReport(lines, 0, 1)
         monkeypatch.setattr(cli, "selftest", lambda: report)
         assert main(["selftest"]) == cli.EXIT_MISMATCH == 3
+        assert capsys.readouterr().out == report.text()
+
+    def test_changed_cells_are_mismatches(self, small_selftest, monkeypatch, capsys):
+        # A published string that no longer matches, and a divergent cell
+        # whose frozen recomputation no longer matches, in the real audit.
+        rows = {r["n"]: r for r in goldens.load()["1"]["rows"]}
+        monkeypatch.setitem(rows[5]["values"], "wallis", "3.002175954556900")
+        flag = rows[15]["flags"]["wallis"]
+        monkeypatch.setitem(flag, "recomputed_value", "3.091336888596221")
+        report = goldens.selftest()
+        assert [ln for ln in report.lines if ln.startswith("MISMATCH")] == [
+            "MISMATCH table 1 n=5 value: computed=3.002175954556907"
+            " published=3.002175954556900",
+            "MISMATCH table 1 n=15 value: computed=3.091336888596220 differs from"
+            " frozen recomputation 3.091336888596221 (published=3.091336888596228)",
+        ]
+        assert (report.ok, report.expected_divergent, report.mismatches) == (False, 101, 2)
+        assert main(["selftest"]) == cli.EXIT_MISMATCH
         assert capsys.readouterr().out == report.text()
 
     def test_sqrt_two_units_high_fails_every_radicand(self, monkeypatch):

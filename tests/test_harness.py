@@ -31,7 +31,7 @@ from pibench.harness import (
     reference_pi,
     run,
 )
-from pibench.methods import ApproximantState, MethodId, NewtonArcsineState, zeta_pi
+from pibench.methods import ApproximantState, MethodId, NewtonArcsineState, approximant
 
 
 class TestReferencePi:
@@ -43,7 +43,7 @@ class TestReferencePi:
         assert fx_to_string(ref.value, 20).startswith("3.14159265358979")
 
     def test_cross_check_against_zeta8(self, ctx15, ref15):
-        z = zeta_pi(MethodId.ZETA8, 200, ctx15)
+        z = approximant(MethodId.ZETA8, 200, ctx15)
         assert fx_to_string(z, 15) == fx_to_string(ref15.value, 15)
 
     def test_every_small_context_passes_within_an_ulp(self):

@@ -17,15 +17,10 @@ from pibench.methods import (
     ApproximantState,
     MethodId,
     ZETA_PARAMS,
+    approximant,
     check_index,
-    euler_cf,
     euler_cf_convergent,
-    leibniz,
     make_state,
-    newton_arcsine,
-    viete,
-    wallis,
-    zeta_pi,
 )
 from conftest import exact, mp_string, viete_mp
 
@@ -38,14 +33,14 @@ def s15(x):
 
 class TestWallis:
     def test_n1(self):
-        assert s15(wallis(1, CTX)) == "2.666666666666667"
+        assert s15(approximant(MethodId.WALLIS, 1, CTX)) == "2.666666666666667"
 
     def test_n5(self):
-        assert s15(wallis(5, CTX)) == "3.002175954556907"
+        assert s15(approximant(MethodId.WALLIS, 5, CTX)) == "3.002175954556907"
 
     def test_n_zero_invalid(self):
         with pytest.raises(ValueError):
-            wallis(0, CTX)
+            approximant(MethodId.WALLIS, 0, CTX)
 
     def test_against_mpmath(self):
         def oracle(n):
@@ -57,39 +52,39 @@ class TestWallis:
             return f
 
         for n in (1, 2, 7, 33, 100):
-            assert s15(wallis(n, CTX)) == mp_string(oracle(n), 15)
+            assert s15(approximant(MethodId.WALLIS, n, CTX)) == mp_string(oracle(n), 15)
 
 
 class TestLeibniz:
     def test_n0(self):
-        assert leibniz(0, CTX) == BigFixed(4)
+        assert approximant(MethodId.LEIBNIZ, 0, CTX) == BigFixed(4)
 
     def test_n5(self):
-        assert s15(leibniz(5, CTX)) == "2.976046176046176"
+        assert s15(approximant(MethodId.LEIBNIZ, 5, CTX)) == "2.976046176046176"
 
     def test_n100(self):
         # The published table prints ...070910 here; the exact partial
         # sum is ...0709905..., which rounds to ...070991.
-        assert s15(leibniz(100, CTX)) == "3.151493401070991"
+        assert s15(approximant(MethodId.LEIBNIZ, 100, CTX)) == "3.151493401070991"
 
     def test_matches_exact_rational(self):
         for n in (0, 1, 2, 3, 10, 25):
             exact = sum(Fraction(4 * (-1) ** k, 2 * k + 1) for k in range(n + 1))
-            assert s15(leibniz(n, CTX)) == mp_string(
+            assert s15(approximant(MethodId.LEIBNIZ, n, CTX)) == mp_string(
                 lambda: mpmath.mpf(exact.numerator) / exact.denominator, 15
             )
 
 
 class TestNewtonArcsine:
     def test_n0(self):
-        assert newton_arcsine(0, CTX) == BigFixed(3)
+        assert approximant(MethodId.NEWTON_ARCSINE, 0, CTX) == BigFixed(3)
 
     def test_n1_exact(self):
         # 6 * (1/2 + 1/48) = 3.125 exactly
-        assert s15(newton_arcsine(1, CTX)) == "3.125000000000000"
+        assert s15(approximant(MethodId.NEWTON_ARCSINE, 1, CTX)) == "3.125000000000000"
 
     def test_n5(self):
-        assert s15(newton_arcsine(5, CTX)) == "3.141576715774866"
+        assert s15(approximant(MethodId.NEWTON_ARCSINE, 5, CTX)) == "3.141576715774866"
 
     def test_recurrence_matches_factorials(self):
         # t_k = (2k)! / (2^{2k} (k!)^2 (2k+1)) * (1/2)^{2k+1}
@@ -114,11 +109,11 @@ class TestNewtonArcsine:
 
 class TestEulerCF:
     def test_d1(self):
-        assert s15(euler_cf(1, CTX)) == "2.666666666666667"
+        assert s15(approximant(MethodId.EULER_CF, 1, CTX)) == "2.666666666666667"
 
     def test_d2_exact(self):
         assert euler_cf_convergent(2) == Fraction(52, 15)
-        assert s15(euler_cf(2, CTX)) == "3.466666666666667"
+        assert s15(approximant(MethodId.EULER_CF, 2, CTX)) == "3.466666666666667"
 
     def test_equals_leibniz_exactly(self):
         for d in range(1, 21):
@@ -131,34 +126,35 @@ class TestEulerCF:
         # while the convergent rounds exactly once.
         one_ulp = Fraction(1, 10 ** CTX.working_dp)
         for d in range(1, 101):
-            diff = exact(euler_cf(d, CTX)) - exact(leibniz(d, CTX))
+            cf = approximant(MethodId.EULER_CF, d, CTX)
+            diff = exact(cf) - exact(approximant(MethodId.LEIBNIZ, d, CTX))
             assert abs(diff) <= one_ulp
 
     def test_d0_invalid(self):
         with pytest.raises(ValueError):
-            euler_cf(0, CTX)
+            approximant(MethodId.EULER_CF, 0, CTX)
         with pytest.raises(ValueError):
             euler_cf_convergent(0)
 
 
 class TestViete:
     def test_small_n(self):
-        assert s15(viete(1, CTX)) == "3.061467458920718"
-        assert s15(viete(2, CTX)) == "3.121445152258052"
+        assert s15(approximant(MethodId.VIETE, 1, CTX)) == "3.061467458920718"
+        assert s15(approximant(MethodId.VIETE, 2, CTX)) == "3.121445152258052"
 
     def test_saturates_at_25(self):
-        assert s15(viete(25, CTX)) == "3.141592653589793"
-        assert s15(viete(30, CTX)) == "3.141592653589793"
+        assert s15(approximant(MethodId.VIETE, 25, CTX)) == "3.141592653589793"
+        assert s15(approximant(MethodId.VIETE, 30, CTX)) == "3.141592653589793"
 
     def test_against_mpmath(self):
         for n in (1, 2, 3, 10, 20, 40):
             oracle = mp_string(lambda: viete_mp(n), 15, dps=60 + n)
-            assert s15(viete(n, CTX)) == oracle
+            assert s15(approximant(MethodId.VIETE, n, CTX)) == oracle
 
     def test_deep_n_needs_only_ctx(self):
         # n=80 is past step 47, where r rounds to exactly 2 at scale 27 and
         # D stops moving; no step subtracts, so the context's digits suffice.
-        assert s15(viete(80, CTX)) == "3.141592653589793"
+        assert s15(approximant(MethodId.VIETE, 80, CTX)) == "3.141592653589793"
 
     @pytest.mark.parametrize("ctx, checkpoints", [
         (CTX, (*range(1, 61), 100, 200, 1000, 5000, 20000)),
@@ -167,7 +163,7 @@ class TestViete:
     def test_ulp_bound(self, ctx, checkpoints):
         # The VieteState docstring's bound, (1/2 + (pi/2)(M/2 + 1/32)) ulps
         # with M = ceil(log_4(pi^2 10^scale)), against the closed form
-        # viete(n) = 2^(n+2) sin(pi / 2^(n+2)).
+        # approximant(VIETE, n, ctx) = 2^(n+2) sin(pi / 2^(n+2)).
         m = math.ceil(math.log(math.pi ** 2 * 10 ** ctx.scale, 4))
         bound = 0.5 + math.pi / 2 * (m / 2 + 1 / 32)
         state = make_state(MethodId.VIETE, ctx)
@@ -181,16 +177,14 @@ class TestViete:
                 assert err <= bound, f"n={n}: {mpmath.nstr(err, 5)} ulp > {bound:.1f}"
 
     def test_stationary_once_r_is_two(self):
-        a, b = viete(200, CTX), viete(20000, CTX)
+        a, b = (approximant(MethodId.VIETE, n, CTX) for n in (200, 20000))
         assert (a.significand, a.scale) == (b.significand, b.scale)
 
 
 class TestZeta:
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            zeta_pi(MethodId.WALLIS, 5, CTX)
-        with pytest.raises(ValueError):
-            zeta_pi("zeta3", 5, CTX)
+            approximant("zeta3", 5, CTX)
 
     def test_pairs(self):
         assert set(ZETA_PARAMS.values()) == {
@@ -199,13 +193,13 @@ class TestZeta:
 
     def test_table_anchors(self):
         ctx = PrecisionCtx(14, 12)
-        assert fx_to_string(zeta_pi(MethodId.ZETA2, 10, ctx), 14) == "3.04936163598207"
-        assert fx_to_string(zeta_pi(MethodId.ZETA8, 5, ctx), 14) == "3.14159231269578"
+        assert fx_to_string(approximant(MethodId.ZETA2, 10, ctx), 14) == "3.04936163598207"
+        assert fx_to_string(approximant(MethodId.ZETA8, 5, ctx), 14) == "3.14159231269578"
 
     def test_zeta2_n5_direct(self):
         # 6 * (1 + 1/4 + 1/9 + 1/16 + 1/25) = 6 * 5269/3600
         ctx = PrecisionCtx(14, 12)
-        assert fx_to_string(zeta_pi(MethodId.ZETA2, 5, ctx), 6) == "2.963388"
+        assert fx_to_string(approximant(MethodId.ZETA2, 5, ctx), 6) == "2.963388"
 
     def test_against_mpmath(self):
         ctx = PrecisionCtx(14, 12)
@@ -216,7 +210,7 @@ class TestZeta:
                     acc += mpmath.mpf(1) / mpmath.mpf(k) ** s
                 return (constant * acc) ** (mpmath.mpf(1) / s)
 
-            assert fx_to_string(zeta_pi(mid, 50, ctx), 14) == mp_string(oracle, 14)
+            assert fx_to_string(approximant(mid, 50, ctx), 14) == mp_string(oracle, 14)
 
 
 # Scales 1-8 and the table scales, 27 (Tables 4-7) and 32 (Tables 1-3).
@@ -287,8 +281,13 @@ class TestStateProtocol:
         monkeypatch.setattr(ApproximantState, "__init__", no_state)
         for m in MethodId:
             check_index(m, first[m])
-            with pytest.raises(ValueError, match=f"{m.value} is defined for n >= {first[m]}"):
+            message = f"{m.value} is defined for n >= {first[m]}"
+            with pytest.raises(ValueError, match=message):
                 check_index(m, first[m] - 1)
+            # Leibniz and Newton at n = -1: advance_to does nothing there,
+            # so only the check stops a wrong value.
+            with pytest.raises(ValueError, match=message):
+                approximant(m, first[m] - 1, CTX)
 
     def test_direct_equals_resumed(self):
         for method, n in [
@@ -304,17 +303,7 @@ class TestStateProtocol:
                 state.step()
             resumed = state.value()
             assert state.n == n
-            direct = {
-                MethodId.WALLIS: wallis,
-                MethodId.LEIBNIZ: leibniz,
-                MethodId.NEWTON_ARCSINE: newton_arcsine,
-                MethodId.EULER_CF: euler_cf,
-                MethodId.VIETE: viete,
-            }.get(method)
-            if direct is None:
-                expected = zeta_pi(method, n, CTX)
-            else:
-                expected = direct(n, CTX)
+            expected = approximant(method, n, CTX)
             assert resumed.significand == expected.significand
             assert resumed.scale == expected.scale
 
