@@ -8,7 +8,7 @@ import os
 import sys
 
 from .fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_parse, fx_to_string
-from .goldens import selftest
+from .goldens import AuditChildError, selftest
 from .harness import (
     PAIRINGS,
     TABLE_PRESETS,
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFERENCE = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4  # a forked selftest audit failed
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for `yes | head`
 
 
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
     except ReferenceIntegrityError as e:
         print(f"pibench: reference integrity: {e}", file=sys.stderr)
         return EXIT_REFERENCE
+    except AuditChildError as e:
+        print(f"pibench: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BrokenPipeError:
         # The reader closed stdout early (`pibench run ... | head`). Point
         # stdout at devnull so that the flush at exit does not fail again.

@@ -175,10 +175,16 @@ def _send_audit(fd: int, tid: int, table: dict) -> int:
     try:
         payload, status = json.dumps(_audit_table(tid, table)), 0
     except Exception as exc:  # the parent raises it, naming the table
-        payload, status = f"{type(exc).__name__}: {exc}", 1
+        import traceback  # only on this path; it costs set-up time
+
+        payload, status = traceback.format_exception_only(exc)[-1].strip(), 1
     with open(fd, "w", encoding="utf-8") as f:
         f.write(payload)
     return status
+
+
+class AuditChildError(RuntimeError):
+    """A forked table audit failed in its child process."""
 
 
 class _ForkedAudit:
@@ -209,12 +215,12 @@ class _ForkedAudit:
         self.pipe = open(read_fd, encoding="utf-8")
 
     def result(self) -> tuple[list, int, int]:
-        """Wait for the child; its audit, or RuntimeError if it failed."""
+        """Wait for the child; its audit, or AuditChildError if it failed."""
         payload = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         if os.waitstatus_to_exitcode(status) != 0:
-            raise RuntimeError(
+            raise AuditChildError(
                 f"table {self.tid} audit failed in its child process:"
                 f" {payload or 'no output'}"
             )

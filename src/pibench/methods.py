@@ -23,8 +23,11 @@ single half-even-rounded steps (step() is advance_to(n + 1); target <= n is
 a no-op). Newton, zeta and Viete skip the steps that change no register:
 Newton's once its term t rounds to 0 (n = 48 at scale 32), zeta's from the
 first k with k^s >= 2 * 10^scale, Viete's once r is exactly 2 (D = 4D/4).
-Wallis and Leibniz divide by the odd 4k^2 - 1 and 2k + 1, where half-even
-rounding meets no tie, so round(a/d) = (a + (d - 1)//2) // d.
+Wallis and Leibniz divide by the odd d = 4k^2 - 1 and d = 2k + 1, where
+half-even rounding meets no tie, so round(x/d) = (x + (d - 1)//2) // d.
+Wallis takes that floor in two divisions, by 2k - 1 and then by 2k + 1:
+floor(floor(x/a)/b) = floor(x/(ab)) for every integer x and positive a and
+b, so the register's bits are those of the single division.
 """
 
 from __future__ import annotations
@@ -92,12 +95,18 @@ class WallisState(ApproximantState):
 
     def advance_to(self, target: int) -> None:
         # The factor is f/(f-1) with f = (2k)^2, since (2k-1)(2k+1) = f-1,
-        # and round(acc f/(f-1)) = acc + round(acc/(f-1)).
+        # and round(acc f/(f-1)) = acc + round(acc/(f-1)). f-1 = ab, with
+        # a = 2k-1 and b = 2k+1, outgrows one 30-bit CPython digit at
+        # k = 16384, where // takes the multi-digit long division, but a and
+        # b fit in one digit until k ~ 5*10^8. So the floor is taken as two,
+        # by a and then by b, each on the one-digit path, with the same bits.
         acc, k = self._acc, self.n
-        for k in range(k + 1, target + 1):
-            d = 4 * k * k - 1
-            acc += (acc + (d >> 1)) // d
-        self._acc, self.n = acc, k
+        if target <= k:
+            return
+        for a in range(2 * k + 1, 2 * target, 2):
+            b = a + 2
+            acc += (acc + (a * b >> 1)) // a // b
+        self._acc, self.n = acc, target
 
     def value(self) -> BigFixed:
         check_index(self.method, self.n)

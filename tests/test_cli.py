@@ -432,6 +432,21 @@ class TestSelftestCommand:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_failure_exit_4(self, small_selftest, monkeypatch, capsys):
+        real_audit = goldens._audit_table
+
+        def audit(tid, table):
+            if tid == 1:
+                raise MemoryError
+            return real_audit(tid, table)
+
+        monkeypatch.setattr(goldens, "_audit_table", audit)
+        assert main(["selftest"]) == cli.EXIT_INTERNAL == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "pibench: table 1 audit failed in its child process: MemoryError\n"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_parent_interrupt_kills_the_child(self, small_selftest, monkeypatch):
         def audit(tid, table):
             if tid == 1:

@@ -425,6 +425,9 @@ class TestAdvanceTo:
     FAR = {
         (MethodId.ZETA6, 27): 36000,  # last nonzero term at k = 35495
         (MethodId.ZETA8, 32): 11000,  # k = 10905
+        # Wallis's 4k^2 - 1 needs two 30-bit digits from k = 16384 on.
+        (MethodId.WALLIS, 32): 20000,
+        (MethodId.WALLIS, 162): 20000,
     }
 
     @pytest.mark.parametrize("ctx", KERNEL_CTXS + SMALL_CTXS, ids=lambda c: f"s{c.scale}")
@@ -500,7 +503,8 @@ class TestAdvanceTo:
                 assert vars(state) == before
 
     def test_tie_free_rounding_for_odd_divisors(self):
-        # Wallis and Leibniz round a/d for odd d by (a + (d-1)//2) // d.
+        # Leibniz rounds a/d for odd d by (a + (d-1)//2) // d, and Wallis,
+        # with d = a(a + 2), takes that floor by a and then by a + 2.
         rng = random.Random(20261018)
         for _ in range(20000):
             d = 2 * rng.randrange(0, 10 ** rng.randrange(1, 40)) + 1
@@ -508,3 +512,10 @@ class TestAdvanceTo:
             # either side of the half-way point q + 1/2, and a random a
             for a in (q * d + d // 2, q * d + d // 2 + 1, q * d + rng.randrange(d)):
                 assert (a + (d - 1) // 2) // d == _div_half_even(a, d), (a, d)
+        for _ in range(20000):
+            # odd factors on both sides of one 30-bit CPython digit
+            a = 2 * rng.randrange(0, 2 ** rng.choice((4, 29, 30, 31, 40))) + 1
+            d = a * (a + 2)
+            q = rng.randrange(-(10 ** 40), 10 ** 40) // 10 ** rng.randrange(0, 40)
+            for x in (q * d + d // 2, q * d + d // 2 + 1, q * d + rng.randrange(d)):
+                assert (x + (d - 1) // 2) // a // (a + 2) == _div_half_even(x, d), (x, a)
