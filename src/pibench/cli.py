@@ -21,25 +21,23 @@ from .harness import (
     run_table,
 )
 from .methods import MethodId, check_index
-from .report import (
-    CSV_HEADER,
-    TableSpec,
-    csv_line,
-    render_csv,
-    render_markdown,
-    render_plot_data,
-)
+from .report import CSV_HEADER, TableSpec, csv_line, markdown_lines, plot_lines, render_markdown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFERENCE = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4  # a forked selftest audit failed
+EXIT_OUTPUT = 5  # writing the output failed
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for `yes | head`
 
 
 class UsageError(ValueError):
     pass
+
+
+class OutputError(Exception):
+    """Writing stdout or the --out file failed (the disk is full, say)."""
 
 
 def parse_schedule_expr(expr: str) -> Schedule:
@@ -157,50 +155,65 @@ def parse_args(argv) -> argparse.Namespace:
     return ns
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
     """The output stream: stdout, or the --out file, opened now so that an
-    unwritable path fails before any work."""
+    unwritable path fails before any work. An OSError raised while it is in
+    use, other than a closed pipe, is an OutputError. Stdout is flushed
+    before it is left, so that its write errors surface here too."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        out = contextlib.nullcontext(sys.stdout)
+    else:
+        try:
+            out = open(path, "w")
+        except OSError as e:
+            raise UsageError(f"cannot write {path}: {e.strerror}") from None
     try:
-        return open(path, "w")
+        with out as stream:
+            yield stream
+            stream.flush()
+    except BrokenPipeError:
+        raise
     except OSError as e:
-        raise UsageError(f"cannot write {path}: {e.strerror}") from None
+        if path is None:  # so that the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OutputError(e.strerror or str(e)) from None
 
 
-def _render_records(records, fmt: str, value_dp: int) -> str:
+def _write_runs(out, runs: dict, fmt: str, value_dp: int) -> None:
+    """Each format written as its records are computed, keeping none: md
+    takes the runs in lockstep, one row per n; csv and plot take them one
+    after another."""
     if fmt == "csv":
-        return render_csv(records)
-    if fmt == "plot":
-        return render_plot_data(records)
-    return render_markdown(records, TableSpec(None, value_dp))
+        out.write(CSV_HEADER + "\n")
+        for records in runs.values():
+            out.writelines(map(csv_line, records))
+    elif fmt == "plot":
+        out.writelines(plot_lines(runs))
+    else:
+        out.writelines(markdown_lines(runs, TableSpec(None, value_dp)))
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
     ref = reference_pi(ns.ctx)  # before --out is opened: exit 2 leaves it alone
     with _open_out(ns.out) as out:
-        records = run(ns.methods[0], ns.schedule, ns.ctx, ref)
-        if ns.fmt == "csv":  # written as computed: no record is kept
-            out.write(CSV_HEADER + "\n")
-            out.writelines(map(csv_line, records))
-        else:
-            out.write(_render_records(list(records), ns.fmt, ns.ctx.working_dp))
+        method = ns.methods[0]
+        runs = {method: run(method, ns.schedule, ns.ctx, ref)}
+        _write_runs(out, runs, ns.fmt, ns.ctx.working_dp)
     return EXIT_OK
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
     with _open_out(ns.out) as out:
-        records, crossings = compare(ns.methods, ns.schedule, ns.ctx, ns.thresholds)
-        flat = [r for recs in records.values() for r in recs]
-        text = _render_records(flat, ns.fmt, ns.ctx.working_dp)
-        lines = ["# crossover: first sampled n with abs error below threshold"]
+        runs, crossings = compare(ns.methods, ns.schedule, ns.ctx, ns.thresholds)
+        _write_runs(out, runs, ns.fmt, ns.ctx.working_dp)
+        out.write("# crossover: first sampled n with abs error below threshold\n")
         for m, crossed in crossings.items():
             for threshold, n in crossed:
                 shown = n if n is not None else "not reached"
-                lines.append(
-                    f"# {m.value} < {fx_to_string(threshold, threshold.scale)}%: {shown}"
+                out.write(
+                    f"# {m.value} < {fx_to_string(threshold, threshold.scale)}%: {shown}\n"
                 )
-        out.write(text + "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -213,7 +226,8 @@ def _cmd_table(ns: argparse.Namespace) -> int:
 
 def _cmd_selftest(ns: argparse.Namespace) -> int:
     report = selftest()
-    sys.stdout.write(report.text())
+    with _open_out(None) as out:
+        out.write(report.text())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -230,6 +244,9 @@ def main(argv=None) -> int:
     except AuditChildError as e:
         print(f"pibench: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OutputError as e:
+        print(f"pibench: cannot write output: {e}", file=sys.stderr)
+        return EXIT_OUTPUT
     except BrokenPipeError:
         # The reader closed stdout early (`pibench run ... | head`). Point
         # stdout at devnull so that the flush at exit does not fail again.

@@ -327,23 +327,34 @@ def compare(
 ) -> tuple[dict, dict]:
     """Runs of several methods on one schedule, and their crossovers.
 
-    Returns (records, crossings), both keyed by method in the given order:
-    each method's records, and for each threshold (threshold, smallest
-    sampled n with abs error below it, or None). Every argument is checked
-    (see compare_args) before any method runs.
+    Returns (runs, crossings), both keyed by method in the given order:
+    each method's run, an iterator of its records computed as they are
+    taken (see run), and for each threshold (threshold, smallest sampled n
+    with abs error below it, or None). Every argument is checked (see
+    compare_args) before any method runs. A crossing is filled in as its
+    run's records are taken, so the crossings are complete once every run
+    is exhausted. The runs share only the reference: they can be taken in
+    lockstep, one record of each per n, or one after another.
     """
     methods, thresholds = compare_args(methods, schedule, thresholds)
     ref = reference_pi(ctx)
-    records = {m: list(run(m, schedule, ctx, ref)) for m in methods}
-
-    crossings = {}
+    runs, crossings = {}, {}
     for m in methods:
-        per_method = []
-        for t in thresholds:
-            hit = next((r.n for r in records[m] if r.abs_err_pct < t), None)
-            per_method.append((t, hit))
-        crossings[m] = per_method
-    return records, crossings
+        crossed = crossings[m] = [(t, None) for t in thresholds]
+        runs[m] = _crossing(run(m, schedule, ctx, ref), crossed)
+    return runs, crossings
+
+
+def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord]:
+    """records, passed through; crossed[i] becomes (threshold, n) at the
+    first record whose abs error is below crossed[i]'s threshold. The
+    thresholds decrease, so the crossed ones are always a prefix."""
+    i = 0
+    for r in records:
+        while i < len(crossed) and r.abs_err_pct < crossed[i][0]:
+            crossed[i] = (crossed[i][0], r.n)
+            i += 1
+        yield r
 
 
 # The published tables: the one registry of their methods, schedules,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .fixedpoint import _div_half_even, fx_to_string
@@ -51,34 +52,39 @@ def _group(records: list[RunRecord]) -> dict[MethodId, list[RunRecord]]:
     return by_method
 
 
-def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
-    by_method = _group(records)
-    if not by_method:
+def markdown_lines(
+    runs: dict[MethodId, Iterable[RunRecord]], spec: TableSpec
+) -> Iterator[str]:
+    """The Markdown table of runs on one schedule, a line at a time: the
+    header, then one row per n, taking the next record of every run. A row
+    is written as its records are computed, and none is kept."""
+    if not runs:
         raise ReportShapeError("no records to render")
-
     preset = TABLE_PRESETS.get(spec.table_id)
     if preset is None:
-        methods = sorted(by_method, key=lambda m: m.value)
+        methods = sorted(runs, key=lambda m: m.value)
         columns = _GENERIC_COLUMNS
     else:
         methods, columns = preset.methods, preset.columns
-        if set(by_method) != set(methods):
+        if set(runs) != set(methods):
             names = ", ".join(m.value for m in methods)
             raise ReportShapeError(f"table {spec.table_id} takes {names}")
-    ns = [r.n for r in by_method[methods[0]]]
-    for m in methods[1:]:
-        if [r.n for r in by_method[m]] != ns:
-            raise ReportShapeError("method schedules are not aligned")
 
-    pairs = [(m, column, head) for m in methods for column, head in columns]
-    lines = [
-        "| n |" + "".join(f" {head.format(method=m.value)} |" for m, _, head in pairs),
-        "| --- |" + " --- |" * len(pairs),
-    ]
-    for i, n in enumerate(ns):
-        cells = "".join(f" {spec.cell(by_method[m][i], c)} |" for m, c, _ in pairs)
-        lines.append(f"| {n} |{cells}")
-    return "\n".join(lines) + "\n"
+    pairs = [(i, column, head.format(method=m.value))
+             for i, m in enumerate(methods) for column, head in columns]
+    yield "| n |" + "".join(f" {head} |" for _, _, head in pairs) + "\n"
+    yield "| --- |" + " --- |" * len(pairs) + "\n"
+    for row in zip(*(runs[m] for m in methods), strict=True):
+        cells = "".join(f" {spec.cell(row[i], c)} |" for i, c, _ in pairs)
+        yield f"| {row[0].n} |{cells}\n"
+
+
+def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
+    by_method = _group(records)
+    ns = [[r.n for r in recs] for recs in by_method.values()]
+    if any(other != ns[0] for other in ns):
+        raise ReportShapeError("method schedules are not aligned")
+    return "".join(markdown_lines(by_method, spec))
 
 
 class _PowersOfTen(dict):
@@ -131,16 +137,32 @@ def render_csv(records: list[RunRecord]) -> str:
     return CSV_HEADER + "\n" + "".join(map(csv_line, records))
 
 
+def plot_lines(runs: dict[MethodId, Iterable[RunRecord]]) -> Iterator[str]:
+    """Per-method (n, y) column blocks for value and error series, a line
+    at a time: the value, abs and signed error cells of each record's CSV
+    row, regrouped. The runs are taken one after another. A run's value
+    block is written as its records are computed; its two error blocks are
+    spilled to temporary files and copied out after it, so no record is
+    kept."""
+    import tempfile  # only on this path; it costs set-up time
+
+    gap = ""
+    for method, records in runs.items():
+        yield f"{gap}# {method.value} value\n"
+        with tempfile.TemporaryFile("w+") as absolute, \
+                tempfile.TemporaryFile("w+") as signed:
+            for r in records:
+                _, n, value, signed_cell, abs_cell, _ = csv_line(r).split(",", 5)
+                yield f"{n} {value}\n"
+                absolute.write(f"{n} {abs_cell}\n")
+                signed.write(f"{n} {signed_cell}\n")
+            for series, spill in (("abs_err_pct", absolute), ("signed_err_pct", signed)):
+                yield f"\n# {method.value} {series}\n"
+                spill.seek(0)
+                while chunk := spill.read(8192):  # never the whole block at once
+                    yield chunk
+        gap = "\n"
+
+
 def render_plot_data(records: list[RunRecord]) -> str:
-    """Per-method (n, y) column blocks for value and error series: the
-    value, abs and signed error cells of each record's CSV row, regrouped."""
-    if not records:
-        return ""
-    blocks = []
-    for method, recs in _group(records).items():
-        rows = [csv_line(r).split(",") for r in recs]
-        for series, i in (("value", 2), ("abs_err_pct", 4), ("signed_err_pct", 3)):
-            lines = [f"# {method.value} {series}"]
-            lines.extend(f"{row[1]} {row[i]}" for row in rows)
-            blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    return "".join(plot_lines(_group(records)))

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import math
@@ -331,22 +332,63 @@ class TestMainExitCodes:
         # A CSV run writes each record as it is computed and keeps none, and
         # its schedule stays a range, so its peak does not grow with the
         # points (it grew by 78 B a point while the schedule was expanded,
-        # and by about 0.8 kB while every record was kept). A first small
-        # run takes the one-time allocations out of the comparison.
+        # and by about 0.8 kB while every record was kept).
         def argv(n):
             return ["run", "--method", "leibniz", "--schedule", f"1:{n}:1",
                     "--format", "csv", "--out", str(tmp_path / "x.csv")]
 
-        assert main(argv(10)) == 0
-        peaks = {}
-        for n in (5_000, 50_000):
-            tracemalloc.start()
-            try:
-                assert main(argv(n)) == 0
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = _traced_peaks(argv, (5_000, 50_000))
         assert (peaks[50_000] - peaks[5_000]) / 45_000 < 8, peaks
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--method", "newton", "--format", "md"],
+        ["run", "--method", "newton", "--format", "plot"],
+        ["compare", "--methods", "newton,viete", "--format", "md"],
+        ["compare", "--methods", "newton,viete", "--format", "csv"],
+        ["compare", "--methods", "newton,viete", "--format", "plot"],
+    ], ids=["run-md", "run-plot", "compare-md", "compare-csv", "compare-plot"])
+    def test_streamed_memory_is_bounded(self, command, tmp_path):
+        # Every other format of run and compare is written as it is
+        # computed too; these grew by 0.6-2.1 kB a point while every record
+        # was kept. Past n = 48 the Newton and Viete registers no longer
+        # change, so a point costs only its value and metrics.
+        def argv(n):
+            return [*command, "--schedule", f"100:{99 + n}:1",
+                    "--out", str(tmp_path / "x.out")]
+
+        peaks = _traced_peaks(argv, (1_000, 3_000))
+        assert (peaks[3_000] - peaks[1_000]) / 2_000 < 8, peaks
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["table", "--id", "4"],
+        ["run", "--method", "newton", "--schedule", "0:2000:1", "--format", "md"],
+    ], ids=["table", "run-streamed"])
+    def test_full_disk_exit_5(self, argv, capsys):
+        # A write that fails, at once or after part of the output has gone
+        # out, is one line on stderr and its own exit code.
+        assert main([*argv, "--out", "/dev/full"]) == cli.EXIT_OUTPUT == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pibench: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exit_5(self):
+        # Stdout is flushed inside main, so its write error is reported
+        # there, and not again when the interpreter exits.
+        src = Path(pibench.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "pibench.cli", "compare",
+                "--methods", "newton,zeta8", "--schedule", "1:30:1"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        assert proc.returncode == 5
+        assert proc.stderr.decode() == (
+            f"pibench: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        )
 
     def test_reader_closing_the_pipe_early(self, tmp_path):
         # `pibench run ... | head`: the closed pipe ends the run with the
@@ -369,6 +411,21 @@ class TestMainExitCodes:
         assert [line.split(b",")[1] for line in head[1:]] == [b"0", b"1", b"2"]
         assert code == EXIT_BROKEN_PIPE == 141
         assert (tmp_path / "stderr").read_bytes() == b""
+
+
+def _traced_peaks(argv, sizes) -> dict:
+    """n -> the traced peak of main(argv(n)), for each n in sizes. A first
+    small run takes the one-time allocations out of the comparison."""
+    assert main(argv(10)) == 0
+    peaks = {}
+    for n in sizes:
+        tracemalloc.start()
+        try:
+            assert main(argv(n)) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 @pytest.fixture

@@ -390,15 +390,25 @@ class TestCompare:
         assert steps == []
 
     def test_crossover_monotone(self, ctx15):
-        _, crossings = compare(
+        thresholds = (fx_parse("1"), fx_parse("0.001"), fx_parse("0.0000001"),
+                      BigFixed(1, 20))
+        runs, crossings = compare(
             [MethodId.NEWTON_ARCSINE, MethodId.ZETA8],
             Schedule(tuple(range(1, 31))),
             ctx15,
-            (fx_parse("1"), fx_parse("0.001"), fx_parse("0.0000001")),
+            thresholds,
         )
+        records = {m: list(recs) for m, recs in runs.items()}
         for method, crossed in crossings.items():
             ns = [n for _, n in crossed if n is not None]
             assert ns == sorted(ns)
+            # Filled in as the run was taken: the first sampled n below each
+            # threshold, or None (neither reaches 10^-20 % by n = 30).
+            assert crossed == [
+                (t, next((r.n for r in records[method] if r.abs_err_pct < t), None))
+                for t in thresholds
+            ]
+        assert [crossed[-1][1] for crossed in crossings.values()] == [None, None]
 
     def test_pairing_presets_exist(self):
         assert set(PAIRINGS) == {

@@ -53,3 +53,35 @@ def test_long_schedule_csv_digest(tmp_path, capsys):
     lines = out.read_bytes().splitlines(keepends=True)
     stripped = b"".join(ln.rsplit(b",", 1)[0] + b"\n" for ln in lines)
     assert hashlib.sha256(stripped).hexdigest() == PINNED["long-schedule"]["100000"]
+
+
+# Outputs of the other streamed paths, pinned from the code that rendered
+# them from a list of every record: compare in each format (a multi-run
+# schedule for md, whose points heapq merges), and run as md and plot.
+COMPARE3 = ["compare", "--methods", "viete,eulercf,zeta4", "--schedule", "1:60:1",
+            "--dp", "30"]
+NEWTON40 = ["run", "--method", "newton", "--schedule", "0:80:1", "--dp", "40"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (COMPARE3 + ["--format", "plot"],
+     "02943dd439abc9c03df6b7eea7e673fc6ba807b2215f5a038184114bb6f939f3"),
+    (["compare", "--methods", "leibniz,newton", "--schedule", "1:50:1,100:1000:100",
+      "--format", "md"],
+     "11bb73637f769e14b6b096122daca2b6c36c7128c3d5e9cb1af2531272cebdc5"),
+    (NEWTON40 + ["--format", "md"],
+     "c02aaa8fbd59efe50098251d1cea7af223540da79b2e07e2ff009cc76f56826f"),
+    (NEWTON40 + ["--format", "plot"],
+     "a3d8ed5ba506895c166dc5936798363555dc09a3b351e5b75e89004cb93c7b3c"),
+], ids=["compare-plot", "compare-md-merged", "run-md", "run-plot"])
+def test_streamed_output_digest(capsys, argv, digest):
+    assert _stdout_sha256(capsys, argv) == digest
+
+
+def test_compare_csv_digest(capsys):
+    # elapsed_ns cut off as above; the crossing lines have no comma to cut.
+    assert main(COMPARE3 + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.encode().splitlines(keepends=True)
+    stripped = b"".join(ln.rsplit(b",", 1)[0].rstrip(b"\n") + b"\n" for ln in lines)
+    digest = "a4c5588cd728f4e0d22b4cac8e5808c09088fc9988655a1cc45f9ad43dd457fe"
+    assert hashlib.sha256(stripped).hexdigest() == digest
