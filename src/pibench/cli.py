@@ -6,28 +6,32 @@ import argparse
 import contextlib
 import os
 import sys
+from collections.abc import Iterator
 
 from .fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_parse, fx_to_string
-from .goldens import AuditChildError, selftest
+from .forked import ChildError, ForkedChild, can_fork
+from .goldens import selftest
 from .harness import (
     PAIRINGS,
     TABLE_PRESETS,
     ReferenceIntegrityError,
     Schedule,
+    _crossing,
+    _records,
     compare,
     compare_args,
     reference_pi,
     run,
     run_table,
 )
-from .methods import MethodId, check_index
+from .methods import MethodId, check_index, make_state
 from .report import CSV_HEADER, TableSpec, csv_line, markdown_lines, plot_lines, render_markdown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFERENCE = 2
 EXIT_MISMATCH = 3
-EXIT_INTERNAL = 4  # a forked selftest audit failed
+EXIT_INTERNAL = 4  # a forked child failed
 EXIT_OUTPUT = 5  # writing the output failed
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for `yes | head`
 
@@ -180,33 +184,116 @@ def _open_out(path: str | None):
         raise OutputError(e.strerror or str(e)) from None
 
 
-def _write_runs(out, runs: dict, fmt: str, value_dp: int) -> None:
-    """Each format written as its records are computed, keeping none: md
-    takes the runs in lockstep, one row per n; csv and plot take them one
-    after another."""
+# A run or compare over one range of at least this many points gives the
+# range's second half to a forked child (see _rows). Leibniz at --dp 15,
+# the cheapest record, costs c = 8-10 us a point in one process (2 vCPUs,
+# CPython 3.11). A split costs F = 3.5 ms once (fork, pipe, spill files,
+# reaping: 5.1 ms split against 1.6 ms serial at 2 points), plus 0.24 us a
+# point of catch-up in the child and 1.0 us a row to copy a spilled row in
+# the parent. It gains from 2F / (c - 1.24 us), about 1,000 points (the
+# same at 1,024 points, measured), and this is four times that: at 4,096
+# points the split took 34.9 ms against 51.5 ms serial (minima of 25).
+SPLIT_MIN_POINTS = 4096
+
+
+def _halves(schedule: Schedule) -> tuple[Schedule, Schedule | None]:
+    """(the points this process computes, the points a forked child
+    computes, or None when the schedule is not split)."""
+    halves = schedule.halves(SPLIT_MIN_POINTS) if can_fork() else None
+    return halves or (schedule, None)
+
+
+def _second_half(spills: dict, resume_at: int, tail: Schedule, ctx: PrecisionCtx,
+                 thresholds: list) -> Iterator[list]:
+    """In the child: each method's records over tail, as CSV rows in its
+    spill file, from a fresh state advanced to resume_at outside the clock;
+    then [method, the first n of tail below each threshold]."""
+    ref = reference_pi(ctx)
+    for method, spill in spills.items():
+        state = make_state(method, ctx)
+        state.advance_to(resume_at)
+        crossed = [(t, None) for t in thresholds]
+        records = _crossing(_records(method, state, tail, ctx, ref), crossed)
+        spill.writelines(map(csv_line, records))
+        spill.flush()
+        yield [method.value, [n for _, n in crossed]]
+
+
+@contextlib.contextmanager
+def _rows(runs: dict, crossings: dict, ctx: PrecisionCtx, head: Schedule,
+          tail: Schedule | None):
+    """Each method's CSV rows over the schedule: those of its run over
+    head, then, when tail is given, those a forked child computed over
+    tail, with elapsed_ns continued from the run's last. A method's spilled
+    rows are read once the child reports them done, a line at a time, and
+    its crossings in tail fill those its run did not cross. The child is
+    killed and reaped however this is left."""
+    if tail is None:
+        yield {m: map(csv_line, records) for m, records in runs.items()}
+        return
+    import tempfile  # only on this path; it costs set-up time
+
+    with contextlib.ExitStack() as stack:
+        spills = {m: stack.enter_context(tempfile.TemporaryFile("w+")) for m in runs}
+        thresholds = [t for t, _ in next(iter(crossings.values()))]
+        child = ForkedChild(
+            "the second half of the schedule",
+            lambda: _second_half(spills, head.max_n, tail, ctx, thresholds))
+        stack.callback(child.close)
+        done = {}
+
+        def rows(method, records):
+            for r in records:
+                yield csv_line(r)
+            offset = r.elapsed_ns
+            while method.value not in done:
+                name, crossed = child.receive()
+                done[name] = crossed
+            ours = crossings[method]
+            for i, n in enumerate(done[method.value]):
+                if ours[i][1] is None:
+                    ours[i] = (ours[i][0], n)
+            spill = spills[method]
+            spill.seek(0)
+            for line in spill:
+                row, _, elapsed = line.rpartition(",")
+                yield f"{row},{int(elapsed) + offset}\n"
+
+        yield {m: rows(m, records) for m, records in runs.items()}
+
+
+def _write_runs(out, rows: dict, fmt: str, value_dp: int) -> None:
+    """Each format written from each method's CSV rows as they are
+    computed, keeping none: md takes the methods in lockstep, one table row
+    per n; csv and plot take them one after another."""
     if fmt == "csv":
         out.write(CSV_HEADER + "\n")
-        for records in runs.values():
-            out.writelines(map(csv_line, records))
+        for method_rows in rows.values():
+            out.writelines(method_rows)
     elif fmt == "plot":
-        out.writelines(plot_lines(runs))
+        out.writelines(plot_lines(rows))
     else:
-        out.writelines(markdown_lines(runs, TableSpec(None, value_dp)))
+        out.writelines(markdown_lines(rows, TableSpec(None, value_dp)))
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
+    head, tail = _halves(ns.schedule)
     ref = reference_pi(ns.ctx)  # before --out is opened: exit 2 leaves it alone
     with _open_out(ns.out) as out:
         method = ns.methods[0]
-        runs = {method: run(method, ns.schedule, ns.ctx, ref)}
-        _write_runs(out, runs, ns.fmt, ns.ctx.working_dp)
+        runs = {method: run(method, head, ns.ctx, ref)}
+        with _rows(runs, {method: []}, ns.ctx, head, tail) as rows:
+            _write_runs(out, rows, ns.fmt, ns.ctx.working_dp)
     return EXIT_OK
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    with _open_out(ns.out) as out:
-        runs, crossings = compare(ns.methods, ns.schedule, ns.ctx, ns.thresholds)
-        _write_runs(out, runs, ns.fmt, ns.ctx.working_dp)
+    head, tail = _halves(ns.schedule)
+    # compare checks its arguments and builds the reference, and runs no
+    # method yet: before --out is opened, so exit 2 leaves it alone.
+    runs, crossings = compare(ns.methods, head, ns.ctx, ns.thresholds)
+    with _open_out(ns.out) as out, _rows(runs, crossings, ns.ctx, head, tail) as rows:
+        _write_runs(out, rows, ns.fmt, ns.ctx.working_dp)
         out.write("# crossover: first sampled n with abs error below threshold\n")
         for m, crossed in crossings.items():
             for threshold, n in crossed:
@@ -241,7 +328,7 @@ def main(argv=None) -> int:
     except ReferenceIntegrityError as e:
         print(f"pibench: reference integrity: {e}", file=sys.stderr)
         return EXIT_REFERENCE
-    except AuditChildError as e:
+    except ChildError as e:
         print(f"pibench: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except OutputError as e:

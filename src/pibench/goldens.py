@@ -17,8 +17,6 @@ string. The selftest recomputes every table and checks:
 from __future__ import annotations
 
 import json
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +27,7 @@ from .fixedpoint import (
     PrecisionCtx,
     fx_sqrt,
 )
+from .forked import ChildError, ForkedChild, can_fork
 from .harness import (
     TABLE_PRESETS,
     reference_pi,
@@ -167,91 +166,24 @@ def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
 FORKED_TABLE = 1
 
 
-def _send_audit(fd: int, tid: int, table: dict) -> int:
-    """In the child: write the audit as JSON, or the error text, to fd.
-
-    Returns the exit status, 0 for an audit and 1 for an error.
-    """
-    try:
-        payload, status = json.dumps(_audit_table(tid, table)), 0
-    except Exception as exc:  # the parent raises it, naming the table
-        import traceback  # only on this path; it costs set-up time
-
-        payload, status = traceback.format_exception_only(exc)[-1].strip(), 1
-    with open(fd, "w", encoding="utf-8") as f:
-        f.write(payload)
-    return status
-
-
-class AuditChildError(RuntimeError):
-    """A forked table audit failed in its child process."""
-
-
-class _ForkedAudit:
-    """One table's audit, running in a forked child process.
-
-    The child sends its result back through a pipe and leaves through
-    os._exit on every path, so it never returns into the caller's stack and
-    never flushes buffers it inherited. It writes nothing to stdout.
-    """
-
-    def __init__(self, tid: int, table: dict):
-        self.tid = tid
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                status = _send_audit(write_fd, tid, table)
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pipe = open(read_fd, encoding="utf-8")
-
-    def result(self) -> tuple[list, int, int]:
-        """Wait for the child; its audit, or AuditChildError if it failed."""
-        payload = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if os.waitstatus_to_exitcode(status) != 0:
-            raise AuditChildError(
-                f"table {self.tid} audit failed in its child process:"
-                f" {payload or 'no output'}"
-            )
-        lines, divergent, bad = json.loads(payload)
-        return lines, divergent, bad
-
-    def close(self) -> None:
-        """Kill and reap the child unless result() has reaped it."""
-        if self.pid is not None:
-            import signal  # only on this path; it costs set-up time
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.pipe.close()
+AuditChildError = ChildError  # what a failed forked audit raises
 
 
 def selftest() -> SelftestReport:
     tables = load()
-    # Forking while other threads run could copy a lock one of them holds.
     forked = None
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        forked = _ForkedAudit(FORKED_TABLE, tables[str(FORKED_TABLE)])
+    if can_fork():
+        table = tables[str(FORKED_TABLE)]
+        forked = ForkedChild(f"table {FORKED_TABLE} audit",
+                             lambda: [_audit_table(FORKED_TABLE, table)])
     audits = {}
     try:
         for tid in TABLE_PRESETS:
-            if forked is None or tid != forked.tid:
+            if forked is None or tid != FORKED_TABLE:
                 audits[tid] = _audit_table(tid, tables[str(tid)])
         failures = _quick_invariants()
         if forked is not None:
-            audits[forked.tid] = forked.result()
+            audits[FORKED_TABLE] = forked.receive()
     finally:
         if forked is not None:
             forked.close()

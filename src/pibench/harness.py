@@ -193,6 +193,19 @@ class Schedule:
     def max_n(self) -> int:
         return max(points[-1] for points in self._runs)
 
+    def halves(self, min_points: int) -> tuple[Schedule, Schedule] | None:
+        """The points up to the median and the points after it, each a
+        one-range schedule, if this schedule is one range of at least
+        min_points points; otherwise None."""
+        if len(self._runs) != 1 or not isinstance(self._runs[0], range):
+            return None
+        points = self._runs[0]
+        count = (points[-1] - points[0]) // points.step + 1  # never len()
+        if count < max(min_points, 2):
+            return None
+        half = (count + 1) // 2
+        return Schedule(points[:half]), Schedule(points[half:])
+
     def __iter__(self) -> Iterator[int]:
         if len(self._runs) == 1:
             return iter(self._runs[0])

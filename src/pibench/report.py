@@ -52,12 +52,16 @@ def _group(records: list[RunRecord]) -> dict[MethodId, list[RunRecord]]:
     return by_method
 
 
-def markdown_lines(
-    runs: dict[MethodId, Iterable[RunRecord]], spec: TableSpec
-) -> Iterator[str]:
-    """The Markdown table of runs on one schedule, a line at a time: the
-    header, then one row per n, taking the next record of every run. A row
-    is written as its records are computed, and none is kept."""
+# The field of a CSV row (csv_line) that each printed column takes.
+_FIELDS = {"value": 2, "err": 4}
+
+
+def markdown_lines(runs: dict[MethodId, Iterable[str]], spec: TableSpec) -> Iterator[str]:
+    """The Markdown table of runs on one schedule, a line at a time, from
+    each method's CSV rows (csv_line): the header, then one row per n,
+    taking the next CSV row of every run. A cell is its row's value cell
+    or its abs error cell, so the values print at the rows' working_dp. A
+    row is written as its CSV rows are computed, and none is kept."""
     if not runs:
         raise ReportShapeError("no records to render")
     preset = TABLE_PRESETS.get(spec.table_id)
@@ -70,13 +74,14 @@ def markdown_lines(
             names = ", ".join(m.value for m in methods)
             raise ReportShapeError(f"table {spec.table_id} takes {names}")
 
-    pairs = [(i, column, head.format(method=m.value))
+    pairs = [(i, _FIELDS[column], head.format(method=m.value))
              for i, m in enumerate(methods) for column, head in columns]
     yield "| n |" + "".join(f" {head} |" for _, _, head in pairs) + "\n"
     yield "| --- |" + " --- |" * len(pairs) + "\n"
     for row in zip(*(runs[m] for m in methods), strict=True):
-        cells = "".join(f" {spec.cell(row[i], c)} |" for i, c, _ in pairs)
-        yield f"| {row[0].n} |{cells}\n"
+        fields = [line.split(",", 5) for line in row]
+        cells = "".join(f" {fields[i][f]} |" for i, f, _ in pairs)
+        yield f"| {fields[0][1]} |{cells}\n"
 
 
 def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
@@ -84,7 +89,12 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
     ns = [[r.n for r in recs] for recs in by_method.values()]
     if any(other != ns[0] for other in ns):
         raise ReportShapeError("method schedules are not aligned")
-    return "".join(markdown_lines(by_method, spec))
+    # csv_line prints a value at its record's working_dp: set it to the spec's.
+    dp = spec.value_dp
+    rows = {m: (csv_line(r if r.working_dp == dp else r._replace(working_dp=dp))
+                for r in recs)
+            for m, recs in by_method.items()}
+    return "".join(markdown_lines(rows, spec))
 
 
 class _PowersOfTen(dict):
@@ -137,22 +147,22 @@ def render_csv(records: list[RunRecord]) -> str:
     return CSV_HEADER + "\n" + "".join(map(csv_line, records))
 
 
-def plot_lines(runs: dict[MethodId, Iterable[RunRecord]]) -> Iterator[str]:
+def plot_lines(runs: dict[MethodId, Iterable[str]]) -> Iterator[str]:
     """Per-method (n, y) column blocks for value and error series, a line
-    at a time: the value, abs and signed error cells of each record's CSV
-    row, regrouped. The runs are taken one after another. A run's value
-    block is written as its records are computed; its two error blocks are
-    spilled to temporary files and copied out after it, so no record is
-    kept."""
+    at a time, from each method's CSV rows (csv_line): the value, abs and
+    signed error cells of each row, regrouped. The runs are taken one
+    after another. A run's value block is written as its rows are
+    computed; its two error blocks are spilled to temporary files and
+    copied out after it, so no row is kept."""
     import tempfile  # only on this path; it costs set-up time
 
     gap = ""
-    for method, records in runs.items():
+    for method, rows in runs.items():
         yield f"{gap}# {method.value} value\n"
         with tempfile.TemporaryFile("w+") as absolute, \
                 tempfile.TemporaryFile("w+") as signed:
-            for r in records:
-                _, n, value, signed_cell, abs_cell, _ = csv_line(r).split(",", 5)
+            for row in rows:
+                _, n, value, signed_cell, abs_cell, _ = row.split(",", 5)
                 yield f"{n} {value}\n"
                 absolute.write(f"{n} {abs_cell}\n")
                 signed.write(f"{n} {signed_cell}\n")
@@ -165,4 +175,5 @@ def plot_lines(runs: dict[MethodId, Iterable[RunRecord]]) -> Iterator[str]:
 
 
 def render_plot_data(records: list[RunRecord]) -> str:
-    return "".join(plot_lines(_group(records)))
+    runs = {m: map(csv_line, recs) for m, recs in _group(records).items()}
+    return "".join(plot_lines(runs))

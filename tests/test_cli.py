@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import pibench
 import pibench.cli as cli
+import pibench.forked as forked
 import pibench.goldens as goldens
 import pibench.harness as harness
 from pibench.cli import (
@@ -286,13 +287,14 @@ class TestMainExitCodes:
 
     def test_reference_failure_leaves_out_alone(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "_atan_inv", lambda x, one: one // x)
-        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
-        kept.write_text("earlier output\n")
-        for path in (kept, fresh):
-            assert main(["run", "--method", "wallis", "--schedule", "5",
-                         "--out", str(path)]) == 2
-        assert kept.read_text() == "earlier output\n"
-        assert not fresh.exists()
+        for command in (["run", "--method", "wallis", "--schedule", "5"],
+                        ["compare", "--methods", "newton,zeta8", "--schedule", "1:5:1"]):
+            kept, fresh = tmp_path / "kept.out", tmp_path / "fresh.out"
+            kept.write_text("earlier output\n")
+            for path in (kept, fresh):
+                assert main([*command, "--out", str(path)]) == 2
+            assert kept.read_text() == "earlier output\n"
+            assert not fresh.exists()
         capsys.readouterr()
 
     @pytest.mark.parametrize("args", [
@@ -328,17 +330,21 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert captured.err == "pibench: viete is defined for n >= 1\n"
 
-    def test_csv_run_memory_is_bounded(self, tmp_path):
+    def test_csv_run_memory_is_bounded(self, tmp_path, monkeypatch):
         # A CSV run writes each record as it is computed and keeps none, and
         # its schedule stays a range, so its peak does not grow with the
         # points (it grew by 78 B a point while the schedule was expanded,
-        # and by about 0.8 kB while every record was kept).
+        # and by about 0.8 kB while every record was kept). Both paths are
+        # held to it; on the split one tracemalloc sees only the parent,
+        # which reads the child's spilled half back a line at a time.
         def argv(n):
             return ["run", "--method", "leibniz", "--schedule", f"1:{n}:1",
                     "--format", "csv", "--out", str(tmp_path / "x.csv")]
 
-        peaks = _traced_peaks(argv, (5_000, 50_000))
-        assert (peaks[50_000] - peaks[5_000]) / 45_000 < 8, peaks
+        for split in _PATHS:
+            _take_path(monkeypatch, split)
+            peaks = _traced_peaks(argv, (5_000, 50_000))
+            assert (peaks[50_000] - peaks[5_000]) / 45_000 < 8, (split, peaks)
 
     @pytest.mark.parametrize("command", [
         ["run", "--method", "newton", "--format", "md"],
@@ -347,17 +353,20 @@ class TestMainExitCodes:
         ["compare", "--methods", "newton,viete", "--format", "csv"],
         ["compare", "--methods", "newton,viete", "--format", "plot"],
     ], ids=["run-md", "run-plot", "compare-md", "compare-csv", "compare-plot"])
-    def test_streamed_memory_is_bounded(self, command, tmp_path):
+    def test_streamed_memory_is_bounded(self, command, tmp_path, monkeypatch):
         # Every other format of run and compare is written as it is
         # computed too; these grew by 0.6-2.1 kB a point while every record
         # was kept. Past n = 48 the Newton and Viete registers no longer
-        # change, so a point costs only its value and metrics.
+        # change, so a point costs only its value and metrics. On the split
+        # path tracemalloc sees only the parent.
         def argv(n):
             return [*command, "--schedule", f"100:{99 + n}:1",
                     "--out", str(tmp_path / "x.out")]
 
-        peaks = _traced_peaks(argv, (1_000, 3_000))
-        assert (peaks[3_000] - peaks[1_000]) / 2_000 < 8, peaks
+        for split in _PATHS:
+            _take_path(monkeypatch, split)
+            peaks = _traced_peaks(argv, (1_000, 3_000))
+            assert (peaks[3_000] - peaks[1_000]) / 2_000 < 8, (split, peaks)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [
@@ -413,6 +422,171 @@ class TestMainExitCodes:
         assert (tmp_path / "stderr").read_bytes() == b""
 
 
+def _without_elapsed(out: str) -> str:
+    """out with the last field of each CSV row, elapsed_ns, cut off. The
+    other lines of every format have no comma."""
+    return "".join(ln.rsplit(",", 1)[0].rstrip("\n") + "\n"
+                   for ln in out.splitlines(keepends=True))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every one-range run and compare schedule of two or more
+    points; the list gets one item a fork."""
+    counted = []
+    real_fork = os.fork
+
+    def counted_fork():
+        counted.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _take_path(monkeypatch, True)
+    return counted
+
+
+# Thresholds crossed in the first half (newton, viete), in the second
+# (viete at n = 43; the split is after n = 30) and never (newton).
+COMPARE_SPLIT = ["--schedule", "1:60:1", "--thresholds", "1,1e-16,1e-30"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSplit:
+    @pytest.mark.parametrize("fmt", ["csv", "md", "plot"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--method", "leibniz", "--schedule", "0:300:1"],
+        ["compare", "--methods", "newton,viete", *COMPARE_SPLIT],
+        # md takes the methods sorted, the child in the given order
+        ["compare", "--methods", "viete,newton", *COMPARE_SPLIT],
+    ], ids=["run", "compare", "compare-reversed"])
+    def test_split_equals_serial(self, command, fmt, forks, monkeypatch, capsys):
+        argv = [*command, "--format", fmt]
+        assert main(argv) == 0
+        split = capsys.readouterr().out
+        assert len(forks) == 1
+        monkeypatch.setattr(cli, "can_fork", lambda: False)
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert len(forks) == 1
+        assert _without_elapsed(split) == _without_elapsed(serial)
+        if command[0] == "compare":
+            assert "# viete < 0.000000000000000000000000000001%: 43\n" in split
+            assert "# newton < 0.000000000000000000000000000001%: not reached\n" in split
+
+    def test_elapsed_continues_across_the_split(self, forks, capsys):
+        # The child's rows continue from the parent's last elapsed_ns.
+        assert main(["compare", "--methods", "leibniz,newton", "--schedule", "1:2000:1",
+                     "--format", "csv"]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]
+                if not ln.startswith("#")]
+        assert len(forks) == 1
+        for method in ("leibniz", "newton"):
+            elapsed = [int(row[6]) for row in rows if row[0] == method]
+            assert len(elapsed) == 2000
+            assert elapsed == sorted(elapsed), method
+
+    def test_catch_up_is_outside_the_clock(self, forks, capsys):
+        # Both halves step from n = 0 to 200,000 before their first row;
+        # only the parent's clock counts it. The child's first row then
+        # adds one step to the parent's last, not another 200,000.
+        assert main(["run", "--method", "leibniz", "--schedule", "200000:200003:1",
+                     "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        elapsed = [int(row.rsplit(",", 1)[1]) for row in rows]
+        assert len(forks) == 1
+        assert elapsed[2] - elapsed[1] < elapsed[0] / 10, elapsed
+
+    @pytest.mark.parametrize("schedule", ["1:50:1,100:1000:100", "7"])
+    def test_only_a_range_of_two_points_or_more_splits(self, schedule, forks, capsys):
+        assert main(["compare", "--methods", "leibniz,newton", "--schedule", schedule,
+                     "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert forks == []
+
+    def test_below_the_split_points_runs_serially(self, forks, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SPLIT_MIN_POINTS", 301)
+        assert main(["run", "--method", "leibniz", "--schedule", "0:299:1"]) == 0
+        assert forks == []
+        assert main(["run", "--method", "leibniz", "--schedule", "0:300:1"]) == 0
+        assert len(forks) == 1
+        capsys.readouterr()
+
+    def test_child_failure_exit_4(self, forks, monkeypatch, capsys):
+        def broken(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_second_half", broken)
+        assert main(["run", "--method", "leibniz", "--schedule", "0:300:1",
+                     "--format", "csv"]) == cli.EXIT_INTERNAL == 4
+        out, err = capsys.readouterr()
+        assert out.startswith(CSV_HEADER + "\n")  # the parent's half may be out
+        assert err == ("pibench: the second half of the schedule failed in its"
+                       " child process: MemoryError\n")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_closed_stdout_exit_141_leaves_no_child(self, forks, monkeypatch, capsys):
+        # The reader has gone before the first row: the parent's first
+        # flush fails, and the child, still computing, is killed and reaped.
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with open(write_fd, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["run", "--method", "leibniz", "--schedule", "0:100000:1",
+                         "--format", "csv"])
+            monkeypatch.setattr(sys, "stdout", sys.__stdout__)
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkRule:
+    def test_needs_two_cpus(self, monkeypatch):
+        for cpus, expected in ((1, False), (2, hasattr(os, "fork"))):
+            monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
+            assert forked.can_fork() is expected
+
+    def test_needs_one_thread_and_os_fork(self, monkeypatch):
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert forked.can_fork() is False
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert forked.can_fork() is False
+
+    def test_usable_cpus_reads_the_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert forked.usable_cpus() == len(os.sched_getaffinity(0))
+        assert forked.usable_cpus() >= 1
+
+
+# The serial path, and the split one where os.fork exists.
+_PATHS = (False, True) if hasattr(os, "fork") else (False,)
+
+
+def _take_path(monkeypatch, split: bool) -> None:
+    """Make run and compare split every one-range schedule of two or more
+    points, or none. A split child stops tracemalloc, which would only slow
+    it: a traced peak is the parent's."""
+    monkeypatch.setattr(cli, "can_fork", lambda: split)
+    monkeypatch.setattr(cli, "SPLIT_MIN_POINTS", 2)
+    second_half = cli._second_half
+
+    def untraced_second_half(*args):
+        tracemalloc.stop()
+        return second_half(*args)
+
+    monkeypatch.setattr(cli, "_second_half", untraced_second_half)
+
+
 def _traced_peaks(argv, sizes) -> dict:
     """n -> the traced peak of main(argv(n)), for each n in sizes. A first
     small run takes the one-time allocations out of the comparison."""
@@ -464,6 +638,7 @@ class TestSelftestCommand:
                 return real_fork()
 
             monkeypatch.setattr(os, "fork", counted_fork)
+            monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
         else:
             monkeypatch.delattr(os, "fork")
 
@@ -472,6 +647,15 @@ class TestSelftestCommand:
         assert (report.ok, report.expected_divergent, report.mismatches) == (True, 101, 0)
         digest = hashlib.sha256(report.text().encode()).hexdigest()
         assert digest == SMALL_SELFTEST_SHA256
+
+    def test_one_cpu_runs_in_one_process(self, small_selftest, monkeypatch):
+        def no_fork():
+            pytest.fail("selftest forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
+        report = goldens.selftest()
+        assert hashlib.sha256(report.text().encode()).hexdigest() == SMALL_SELFTEST_SHA256
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_child_failure_raises_in_parent(self, small_selftest, monkeypatch):

@@ -5,10 +5,12 @@ A kernel change that moves a reported digit changes one of these digests.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import pibench.cli as cli
 from pibench.cli import main
 from pibench.report import TableSpec, render_markdown
 
@@ -40,6 +42,22 @@ def test_hiprec_compare_digest(capsys):
     argv = ["compare", "--methods", "viete,eulercf,zeta4,zeta8",
             "--schedule", "1:400:1", "--dp", "150", "--format", "md"]
     assert _stdout_sha256(capsys, argv) == PINNED["hiprec-dense"]["400"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_hiprec_compare_digest_split(capsys, monkeypatch):
+    # The same compare with its second half, n = 201-400, computed by a
+    # forked child: the child's Viete and Euler CF states are advanced to
+    # n = 200 by advance_to, and every row must come out the same.
+    monkeypatch.setattr(cli, "can_fork", lambda: True)
+    monkeypatch.setattr(cli, "SPLIT_MIN_POINTS", 400)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    argv = ["compare", "--methods", "viete,eulercf,zeta4,zeta8",
+            "--schedule", "1:400:1", "--dp", "150", "--format", "md"]
+    assert _stdout_sha256(capsys, argv) == PINNED["hiprec-dense"]["400"]
+    assert len(forks) == 1
 
 
 def test_long_schedule_csv_digest(tmp_path, capsys):
