@@ -6,7 +6,7 @@ import argparse
 import contextlib
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_parse, fx_to_string
 from .forked import ChildError, ForkedChild, can_fork
@@ -22,10 +22,9 @@ from .harness import (
     compare_args,
     reference_pi,
     run,
-    run_table,
 )
 from .methods import MethodId, check_index, make_state
-from .report import CSV_HEADER, TableSpec, csv_line, markdown_lines, plot_lines, render_markdown
+from .report import CSV_HEADER, csv_line, markdown_lines, plot_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,7 +116,7 @@ def _build_parser() -> _Parser:
 
     tab = sub.add_parser("table", help="reproduce a published reference table")
     tab.add_argument("--id", type=int, required=True, dest="table_id", choices=TABLE_PRESETS)
-    tab.set_defaults(handler=_cmd_table, ctx=None)
+    tab.set_defaults(handler=_cmd_table, ctx=None, fmt="md")
 
     selftest_p = sub.add_parser("selftest", help="recompute all reference tables and invariants")
     selftest_p.set_defaults(handler=_cmd_selftest, ctx=None)
@@ -126,6 +125,7 @@ def _build_parser() -> _Parser:
     for cmd in (runp, cmp_):
         cmd.add_argument("--dp", type=int, default=15)
         cmd.add_argument("--format", dest="fmt", choices=("md", "csv", "plot"), default="md")
+        cmd.set_defaults(table_id=None)  # md in the generic layout
     for cmd in (runp, cmp_, tab):
         cmd.add_argument("--out", default=None)
     return p
@@ -226,8 +226,8 @@ def _rows(runs: dict, crossings: dict, ctx: PrecisionCtx, head: Schedule,
     head, then, when tail is given, those a forked child computed over
     tail, with elapsed_ns continued from the run's last. A method's spilled
     rows are read once the child reports them done, a line at a time, and
-    its crossings in tail fill those its run did not cross. The child is
-    killed and reaped however this is left."""
+    its crossings in tail, if crossings has any, fill those its run did not
+    cross. The child is killed and reaped however this is left."""
     if tail is None:
         yield {m: map(csv_line, records) for m, records in runs.items()}
         return
@@ -235,7 +235,7 @@ def _rows(runs: dict, crossings: dict, ctx: PrecisionCtx, head: Schedule,
 
     with contextlib.ExitStack() as stack:
         spills = {m: stack.enter_context(tempfile.TemporaryFile("w+")) for m in runs}
-        thresholds = [t for t, _ in next(iter(crossings.values()))]
+        thresholds = [t for t, _ in next(iter(crossings.values()), ())]
         child = ForkedChild(
             "the second half of the schedule",
             lambda: _second_half(spills, head.max_n, tail, ctx, thresholds))
@@ -249,10 +249,10 @@ def _rows(runs: dict, crossings: dict, ctx: PrecisionCtx, head: Schedule,
             while method.value not in done:
                 name, crossed = child.receive()
                 done[name] = crossed
-            ours = crossings[method]
             for i, n in enumerate(done[method.value]):
-                if ours[i][1] is None:
-                    ours[i] = (ours[i][0], n)
+                threshold, ours = crossings[method][i]
+                if ours is None:
+                    crossings[method][i] = (threshold, n)
             spill = spills[method]
             spill.seek(0)
             for line in spill:
@@ -262,29 +262,43 @@ def _rows(runs: dict, crossings: dict, ctx: PrecisionCtx, head: Schedule,
         yield {m: rows(m, records) for m, records in runs.items()}
 
 
-def _write_runs(out, rows: dict, fmt: str, value_dp: int) -> None:
-    """Each format written from each method's CSV rows as they are
-    computed, keeping none: md takes the methods in lockstep, one table row
-    per n; csv and plot take them one after another."""
-    if fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-        for method_rows in rows.values():
-            out.writelines(method_rows)
-    elif fmt == "plot":
-        out.writelines(plot_lines(rows))
-    else:
-        out.writelines(markdown_lines(rows, TableSpec(None, value_dp)))
-
-
-def _cmd_run(ns: argparse.Namespace) -> int:
-    head, tail = _halves(ns.schedule)
-    ref = reference_pi(ns.ctx)  # before --out is opened: exit 2 leaves it alone
-    with _open_out(ns.out) as out:
-        method = ns.methods[0]
-        runs = {method: run(method, head, ns.ctx, ref)}
-        with _rows(runs, {method: []}, ns.ctx, head, tail) as rows:
-            _write_runs(out, rows, ns.fmt, ns.ctx.working_dp)
+def _write_out(ns: argparse.Namespace, ctx: PrecisionCtx, head: Schedule,
+               tail: Schedule | None, runs: Callable[[], dict],
+               crossings: dict | None = None) -> int:
+    """The body of run, compare and table, called once the reference is
+    built, so that exit 2 leaves --out alone. Opens --out, then calls
+    runs() for each method's run over head, and writes their rows (_rows)
+    in ns.fmt as they are computed, keeping none: md in lockstep, in table
+    ns.table_id's layout or the generic one; csv and plot one method after
+    another. Then the crossings, if any."""
+    with _open_out(ns.out) as out, \
+            _rows(runs(), crossings or {}, ctx, head, tail) as rows:
+        if ns.fmt == "csv":
+            out.write(CSV_HEADER + "\n")
+            for method_rows in rows.values():
+                out.writelines(method_rows)
+        elif ns.fmt == "plot":
+            out.writelines(plot_lines(rows))
+        else:
+            out.writelines(markdown_lines(rows, ns.table_id))
+        if crossings:
+            out.write("# crossover: first sampled n with abs error below threshold\n")
+            for m, crossed in crossings.items():
+                for threshold, n in crossed:
+                    shown = fx_to_string(threshold, threshold.scale)
+                    out.write(f"# {m.value} < {shown}%: {'not reached' if n is None else n}\n")
     return EXIT_OK
+
+
+def _cmd_run(ns: argparse.Namespace, job=None) -> int:
+    """One run of each of job.methods over job.schedule at job.ctx: the
+    command line's, or, for table, the table's preset."""
+    job = job or ns
+    ctx = job.ctx
+    head, tail = _halves(job.schedule)
+    ref = reference_pi(ctx)  # before --out is opened: exit 2 leaves it alone
+    return _write_out(ns, ctx, head, tail,
+                      lambda: {m: run(m, head, ctx, ref) for m in job.methods})
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
@@ -292,23 +306,11 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     # compare checks its arguments and builds the reference, and runs no
     # method yet: before --out is opened, so exit 2 leaves it alone.
     runs, crossings = compare(ns.methods, head, ns.ctx, ns.thresholds)
-    with _open_out(ns.out) as out, _rows(runs, crossings, ns.ctx, head, tail) as rows:
-        _write_runs(out, rows, ns.fmt, ns.ctx.working_dp)
-        out.write("# crossover: first sampled n with abs error below threshold\n")
-        for m, crossed in crossings.items():
-            for threshold, n in crossed:
-                shown = n if n is not None else "not reached"
-                out.write(
-                    f"# {m.value} < {fx_to_string(threshold, threshold.scale)}%: {shown}\n"
-                )
-    return EXIT_OK
+    return _write_out(ns, ns.ctx, head, tail, lambda: runs, crossings)
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    with _open_out(ns.out) as out:
-        records = run_table(ns.table_id)
-        out.write(render_markdown(records, TableSpec.for_table(ns.table_id)))
-    return EXIT_OK
+    return _cmd_run(ns, TABLE_PRESETS[ns.table_id])
 
 
 def _cmd_selftest(ns: argparse.Namespace) -> int:

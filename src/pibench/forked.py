@@ -33,7 +33,7 @@ def can_fork() -> bool:
 
 
 class ChildError(RuntimeError):
-    """A forked child process failed."""
+    """A forked child process failed, or could not be started."""
 
 
 def _send(fd: int, work: Callable[[], Iterable]) -> int:
@@ -70,10 +70,12 @@ class ForkedChild:
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:
+        except OSError as e:  # EAGAIN or ENOMEM: too many processes, or no memory
             os.close(read_fd)
             os.close(write_fd)
-            raise
+            raise ChildError(
+                f"{what} could not start its child process: {e.strerror or e}"
+            ) from None
         if self.pid == 0:
             status = 1
             try:

@@ -22,23 +22,23 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from . import report
 from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
     fx_sqrt,
 )
-from .forked import ChildError, ForkedChild, can_fork
+from .forked import ForkedChild, can_fork
 from .harness import (
     TABLE_PRESETS,
     reference_pi,
-    run_table,
+    run,
 )
 from .methods import (
     MethodId,
     euler_cf_convergent,
     make_state,
 )
-from .report import TableSpec
 
 
 @lru_cache(maxsize=1)
@@ -120,11 +120,13 @@ def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
     A row holds the published "values" and "errs" strings by method, and a
     flag for each method with a divergent cell: a column of that cell is
     divergent iff the flag holds recomputed_<column>. The preset says which
-    methods and columns the table has.
+    methods and columns the table has. A computed cell is the field of its
+    CSV row (report.csv_line) that `pibench table --id tid` prints.
     """
     preset = TABLE_PRESETS[tid]
-    spec = TableSpec.for_table(tid)
-    records = {(r.method, r.n): r for r in run_table(tid)}
+    ref = reference_pi(preset.ctx)
+    printed = {(m, r.n): report.csv_line(r).split(",", 5)
+               for m in preset.methods for r in run(m, preset.schedule, ref.ctx, ref)}
     lines = []
     divergent = bad = 0
     for row in table["rows"]:
@@ -137,7 +139,7 @@ def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
                 published = row[column + "s"][name]
                 flag = row["flags"].get(name, {})
                 recomputed = flag.get(f"recomputed_{column}")
-                computed = spec.cell(records[method, n], column)
+                computed = printed[method, n][report._FIELDS[column]]
                 if recomputed is None:
                     if computed != published:
                         bad += 1
@@ -164,9 +166,6 @@ def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
 # factor rounds the previous product. So one child audits it while the
 # parent audits the rest, and more processes would not finish sooner.
 FORKED_TABLE = 1
-
-
-AuditChildError = ChildError  # what a failed forked audit raises
 
 
 def selftest() -> SelftestReport:

@@ -407,11 +407,3 @@ TABLE_PRESETS = {
     6: TablePreset(ZETA_METHODS, _SCHED_MID, 14, columns=(("value", "{method}"),)),
     7: TablePreset(ZETA_METHODS, _SCHED_MID, 14, columns=(("err", "{method}"),)),
 }
-
-
-def run_table(table_id: int) -> list[RunRecord]:
-    """Records of every method of a published table, in registry order."""
-    preset = TABLE_PRESETS[table_id]
-    ctx = preset.ctx
-    ref = reference_pi(ctx)
-    return [r for m in preset.methods for r in run(m, preset.schedule, ctx, ref)]

@@ -38,12 +38,6 @@ class TableSpec:
             raise ReportShapeError(f"no published table {table_id}")
         return cls(table_id, preset.working_dp)
 
-    def cell(self, record: RunRecord, column: str) -> str:
-        """One printed cell: the record's value or its abs error."""
-        if column == "value":
-            return record.value_str(self.value_dp)
-        return fx_to_string(record.abs_err_pct, ERR_DP)
-
 
 def _group(records: list[RunRecord]) -> dict[MethodId, list[RunRecord]]:
     by_method: dict[MethodId, list[RunRecord]] = {}
@@ -56,15 +50,17 @@ def _group(records: list[RunRecord]) -> dict[MethodId, list[RunRecord]]:
 _FIELDS = {"value": 2, "err": 4}
 
 
-def markdown_lines(runs: dict[MethodId, Iterable[str]], spec: TableSpec) -> Iterator[str]:
+def markdown_lines(runs: dict[MethodId, Iterable[str]],
+                   table_id: int | None = None) -> Iterator[str]:
     """The Markdown table of runs on one schedule, a line at a time, from
     each method's CSV rows (csv_line): the header, then one row per n,
-    taking the next CSV row of every run. A cell is its row's value cell
-    or its abs error cell, so the values print at the rows' working_dp. A
-    row is written as its CSV rows are computed, and none is kept."""
+    taking the next CSV row of every run. The layout is published table
+    table_id's, or the generic one. A cell is its row's value cell or its
+    abs error cell, so the values print at the rows' working_dp. A row is
+    written as its CSV rows are computed, and none is kept."""
     if not runs:
         raise ReportShapeError("no records to render")
-    preset = TABLE_PRESETS.get(spec.table_id)
+    preset = TABLE_PRESETS.get(table_id)
     if preset is None:
         methods = sorted(runs, key=lambda m: m.value)
         columns = _GENERIC_COLUMNS
@@ -72,7 +68,7 @@ def markdown_lines(runs: dict[MethodId, Iterable[str]], spec: TableSpec) -> Iter
         methods, columns = preset.methods, preset.columns
         if set(runs) != set(methods):
             names = ", ".join(m.value for m in methods)
-            raise ReportShapeError(f"table {spec.table_id} takes {names}")
+            raise ReportShapeError(f"table {table_id} takes {names}")
 
     pairs = [(i, _FIELDS[column], head.format(method=m.value))
              for i, m in enumerate(methods) for column, head in columns]
@@ -94,7 +90,7 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
     rows = {m: (csv_line(r if r.working_dp == dp else r._replace(working_dp=dp))
                 for r in recs)
             for m, recs in by_method.items()}
-    return "".join(markdown_lines(rows, spec))
+    return "".join(markdown_lines(rows, spec.table_id))
 
 
 class _PowersOfTen(dict):

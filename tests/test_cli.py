@@ -20,6 +20,7 @@ import pibench.cli as cli
 import pibench.forked as forked
 import pibench.goldens as goldens
 import pibench.harness as harness
+import pibench.report as report
 from pibench.cli import (
     EXIT_BROKEN_PIPE,
     UsageError,
@@ -288,7 +289,8 @@ class TestMainExitCodes:
     def test_reference_failure_leaves_out_alone(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "_atan_inv", lambda x, one: one // x)
         for command in (["run", "--method", "wallis", "--schedule", "5"],
-                        ["compare", "--methods", "newton,zeta8", "--schedule", "1:5:1"]):
+                        ["compare", "--methods", "newton,zeta8", "--schedule", "1:5:1"],
+                        ["table", "--id", "4"]):
             kept, fresh = tmp_path / "kept.out", tmp_path / "fresh.out"
             kept.write_text("earlier output\n")
             for path in (kept, fresh):
@@ -543,6 +545,47 @@ class TestSplit:
             os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--method", "leibniz", "--schedule", "0:300:1"],
+    ["compare", "--methods", "newton,viete", *COMPARE_SPLIT],
+], ids=["run", "compare"])
+def test_failed_fork_exit_4(command, monkeypatch, capsys):
+    # No process can be started: one line and exit 4, before any output,
+    # and the pipe opened for the child is closed.
+    fds = _failing_fork(monkeypatch)
+    _take_path(monkeypatch, True)
+    assert main([*command, "--format", "csv"]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr() == ("", (
+        "pibench: the second half of the schedule could not start its child"
+        f" process: {os.strerror(errno.EAGAIN)}\n"))
+    _assert_closed(fds)
+
+
+def _failing_fork(monkeypatch) -> list:
+    """Make os.fork fail as it does when no process can be started, and
+    start none; the list gets each fd os.pipe opens."""
+    fds = []
+    real_pipe = os.pipe
+
+    def pipe():
+        fds.extend(real_pipe())
+        return tuple(fds[-2:])
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    return fds
+
+
+def _assert_closed(fds: list) -> None:
+    assert fds
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 class TestForkRule:
     def test_needs_two_cpus(self, monkeypatch):
         for cpus, expected in ((1, False), (2, hasattr(os, "fork"))):
@@ -702,6 +745,15 @@ class TestSelftestCommand:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failed_fork_exit_4(self, small_selftest, monkeypatch, capsys):
+        fds = _failing_fork(monkeypatch)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+        assert main(["selftest"]) == cli.EXIT_INTERNAL == 4
+        assert capsys.readouterr() == ("", (
+            "pibench: table 1 audit could not start its child process:"
+            f" {os.strerror(errno.EAGAIN)}\n"))
+        _assert_closed(fds)
+
     def test_no_fork_while_another_thread_runs(self, small_selftest, monkeypatch):
         def no_fork():
             pytest.fail("selftest forked while another thread was running")
@@ -746,6 +798,29 @@ class TestSelftestCommand:
         assert (report.ok, report.expected_divergent, report.mismatches) == (False, 101, 2)
         assert main(["selftest"]) == cli.EXIT_MISMATCH
         assert capsys.readouterr().out == report.text()
+
+    def test_audit_checks_the_printed_cells(self, small_selftest, monkeypatch, capsys):
+        # The audit reads its cells from the CSV rows that table prints, so
+        # a row printed wrong is a mismatch although the record is right.
+        real_line = report.csv_line
+
+        def csv_line(r):
+            line = real_line(r)
+            if (r.method, r.n) == (MethodId.WALLIS, 5):
+                return line.replace(",3.002175954556907,", ",3.002175954556908,")
+            return line
+
+        monkeypatch.setattr(report, "csv_line", csv_line)
+        monkeypatch.setattr(cli, "csv_line", csv_line)
+        assert main(["table", "--id", "1"]) == 0
+        assert "| 5 | 3.002175954556908 |" in capsys.readouterr().out
+        assert main(["selftest"]) == cli.EXIT_MISMATCH == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("MISMATCH")] == [
+            "MISMATCH table 1 n=5 value: computed=3.002175954556908"
+            " published=3.002175954556907",
+        ]
+        assert lines[-1] == "selftest: 101 expected-divergent cells, 1 failures"
 
     def test_sqrt_two_units_high_fails_every_radicand(self, monkeypatch):
         assert goldens._quick_invariants() == []
