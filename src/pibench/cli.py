@@ -6,7 +6,7 @@ import argparse
 import contextlib
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_parse, fx_to_string
 from .forked import ChildError, ForkedChild, can_fork
@@ -15,16 +15,14 @@ from .harness import (
     PAIRINGS,
     TABLE_PRESETS,
     ReferenceIntegrityError,
+    ReferencePi,
     Schedule,
-    _crossing,
-    _records,
-    compare,
+    _csv_rows,
     compare_args,
     reference_pi,
-    run,
 )
 from .methods import MethodId, check_index, make_state
-from .report import CSV_HEADER, csv_line, markdown_lines, plot_lines
+from .report import CSV_HEADER, markdown_lines, plot_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,13 +184,14 @@ def _open_out(path: str | None):
 
 # A run or compare over one range of at least this many points gives the
 # range's second half to a forked child (see _rows). Leibniz at --dp 15,
-# the cheapest record, costs c = 8-10 us a point in one process (2 vCPUs,
-# CPython 3.11). A split costs F = 3.5 ms once (fork, pipe, spill files,
-# reaping: 5.1 ms split against 1.6 ms serial at 2 points), plus 0.24 us a
-# point of catch-up in the child and 1.0 us a row to copy a spilled row in
-# the parent. It gains from 2F / (c - 1.24 us), about 1,000 points (the
-# same at 1,024 points, measured), and this is four times that: at 4,096
-# points the split took 34.9 ms against 51.5 ms serial (minima of 25).
+# the cheapest row, costs c = 3.7-5 us a point in one process (2 vCPUs,
+# CPython 3.11). A split costs F = 2.3-2.8 ms once (fork, pipe, spill files,
+# reaping: 3.6 ms split against 1.3 ms serial at 2 points), plus 0.3 us a
+# point of catch-up in the child and 1.0-1.3 us to copy a spilled row in
+# the parent. It gains from 2F / (c - 1.3 to 1.6 us), about 2,000 points
+# (split and serial both took 9.2 ms at 2,048 points, minima of 41), and
+# this is twice that: at 4,096 points the split took 14.5 ms against
+# 16.6 ms serial.
 SPLIT_MIN_POINTS = 4096
 
 
@@ -203,49 +202,57 @@ def _halves(schedule: Schedule) -> tuple[Schedule, Schedule | None]:
     return halves or (schedule, None)
 
 
-def _second_half(spills: dict, resume_at: int, tail: Schedule, ctx: PrecisionCtx,
+def _second_half(spills: dict, resume_at: int, tail: Schedule, ref: ReferencePi,
                  thresholds: list) -> Iterator[list]:
-    """In the child: each method's records over tail, as CSV rows in its
-    spill file, from a fresh state advanced to resume_at outside the clock;
-    then [method, the first n of tail below each threshold]."""
-    ref = reference_pi(ctx)
+    """In the child: each method's CSV rows over tail in its spill file,
+    from a fresh state advanced to resume_at outside the clock; then
+    [method, the first n of tail below each threshold]."""
     for method, spill in spills.items():
-        state = make_state(method, ctx)
+        state = make_state(method, ref.ctx)
         state.advance_to(resume_at)
         crossed = [(t, None) for t in thresholds]
-        records = _crossing(_records(method, state, tail, ctx, ref), crossed)
-        spill.writelines(map(csv_line, records))
+        spill.writelines(_csv_rows(method, state, tail, ref.ctx, ref, crossed))
         spill.flush()
         yield [method.value, [n for _, n in crossed]]
 
 
+_SPLIT_WORK = "the second half of the schedule"  # what a split's child computes
+
+
 @contextlib.contextmanager
-def _rows(runs: dict, crossings: dict, ctx: PrecisionCtx, head: Schedule,
+def _rows(methods, ref: ReferencePi, crossings: dict, head: Schedule,
           tail: Schedule | None):
-    """Each method's CSV rows over the schedule: those of its run over
-    head, then, when tail is given, those a forked child computed over
-    tail, with elapsed_ns continued from the run's last. A method's spilled
-    rows are read once the child reports them done, a line at a time, and
-    its crossings in tail, if crossings has any, fill those its run did not
-    cross. The child is killed and reaped however this is left."""
+    """Each method's CSV rows over the schedule (harness._csv_rows): those
+    this process computes over head, then, when tail is given, those a
+    forked child computed over tail, with elapsed_ns continued from the
+    last row of head. A method's spilled rows are read once the child
+    reports them done, a line at a time, and its crossings in tail, if
+    crossings has any, fill those head did not cross. The child is killed
+    and reaped however this is left."""
+    ctx = ref.ctx
+    runs = {m: _csv_rows(m, make_state(m, ctx), head, ctx, ref, crossings.get(m))
+            for m in methods}
     if tail is None:
-        yield {m: map(csv_line, records) for m, records in runs.items()}
+        yield runs
         return
     import tempfile  # only on this path; it costs set-up time
 
     with contextlib.ExitStack() as stack:
-        spills = {m: stack.enter_context(tempfile.TemporaryFile("w+")) for m in runs}
+        try:
+            spills = {m: stack.enter_context(tempfile.TemporaryFile("w+")) for m in runs}
+        except OSError as e:  # EMFILE or ENOSPC, say: the child cannot start
+            raise ChildError(f"{_SPLIT_WORK} could not start its child process:"
+                             f" {e.strerror or e}") from None
         thresholds = [t for t, _ in next(iter(crossings.values()), ())]
         child = ForkedChild(
-            "the second half of the schedule",
-            lambda: _second_half(spills, head.max_n, tail, ctx, thresholds))
+            _SPLIT_WORK, lambda: _second_half(spills, head.max_n, tail, ref, thresholds))
         stack.callback(child.close)
         done = {}
 
-        def rows(method, records):
-            for r in records:
-                yield csv_line(r)
-            offset = r.elapsed_ns
+        def rows(method, lines):
+            for line in lines:
+                yield line
+            offset = int(line.rpartition(",")[2])
             while method.value not in done:
                 name, crossed = child.receive()
                 done[name] = crossed
@@ -259,20 +266,21 @@ def _rows(runs: dict, crossings: dict, ctx: PrecisionCtx, head: Schedule,
                 row, _, elapsed = line.rpartition(",")
                 yield f"{row},{int(elapsed) + offset}\n"
 
-        yield {m: rows(m, records) for m, records in runs.items()}
+        yield {m: rows(m, lines) for m, lines in runs.items()}
 
 
-def _write_out(ns: argparse.Namespace, ctx: PrecisionCtx, head: Schedule,
-               tail: Schedule | None, runs: Callable[[], dict],
-               crossings: dict | None = None) -> int:
-    """The body of run, compare and table, called once the reference is
-    built, so that exit 2 leaves --out alone. Opens --out, then calls
-    runs() for each method's run over head, and writes their rows (_rows)
-    in ns.fmt as they are computed, keeping none: md in lockstep, in table
-    ns.table_id's layout or the generic one; csv and plot one method after
-    another. Then the crossings, if any."""
-    with _open_out(ns.out) as out, \
-            _rows(runs(), crossings or {}, ctx, head, tail) as rows:
+def _write_out(ns: argparse.Namespace, job, crossings: dict | None = None) -> int:
+    """The body of run, compare and table: the rows (_rows) of each of
+    job.methods over job.schedule at job.ctx, where job is the command line
+    or, for table, the table's preset. They are written in ns.fmt as they
+    are computed, keeping none: md in lockstep, in table ns.table_id's
+    layout or the generic one; csv and plot one method after another. Then
+    the crossings, if any. The reference is built before --out is opened,
+    so that exit 2 leaves it alone."""
+    head, tail = _halves(job.schedule)
+    ref = reference_pi(job.ctx)
+    crossings = crossings or {}
+    with _open_out(ns.out) as out, _rows(job.methods, ref, crossings, head, tail) as rows:
         if ns.fmt == "csv":
             out.write(CSV_HEADER + "\n")
             for method_rows in rows.values():
@@ -290,27 +298,17 @@ def _write_out(ns: argparse.Namespace, ctx: PrecisionCtx, head: Schedule,
     return EXIT_OK
 
 
-def _cmd_run(ns: argparse.Namespace, job=None) -> int:
-    """One run of each of job.methods over job.schedule at job.ctx: the
-    command line's, or, for table, the table's preset."""
-    job = job or ns
-    ctx = job.ctx
-    head, tail = _halves(job.schedule)
-    ref = reference_pi(ctx)  # before --out is opened: exit 2 leaves it alone
-    return _write_out(ns, ctx, head, tail,
-                      lambda: {m: run(m, head, ctx, ref) for m in job.methods})
+def _cmd_run(ns: argparse.Namespace) -> int:
+    return _write_out(ns, ns)
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    head, tail = _halves(ns.schedule)
-    # compare checks its arguments and builds the reference, and runs no
-    # method yet: before --out is opened, so exit 2 leaves it alone.
-    runs, crossings = compare(ns.methods, head, ns.ctx, ns.thresholds)
-    return _write_out(ns, ns.ctx, head, tail, lambda: runs, crossings)
+    methods, thresholds = compare_args(ns.methods, ns.schedule, ns.thresholds)
+    return _write_out(ns, ns, {m: [(t, None) for t in thresholds] for m in methods})
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    return _cmd_run(ns, TABLE_PRESETS[ns.table_id])
+    return _write_out(ns, TABLE_PRESETS[ns.table_id])
 
 
 def _cmd_selftest(ns: argparse.Namespace) -> int:

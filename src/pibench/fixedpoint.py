@@ -31,6 +31,21 @@ def _div_half_even(num: int, den: int) -> int:
     return q
 
 
+class _PowersOfTen(dict):
+    """e -> 10**e, each computed on its first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, e: int) -> int:
+        p = self[e] = 10 ** e
+        return p
+
+
+# One table for every per-row path, so the powers a run walks are computed
+# once per process, not once per run and method.
+_TEN = _PowersOfTen()
+
+
 def _isqrt_nearest(n: int) -> int:
     """Nearest integer to sqrt(n), n >= 0: floor(2 sqrt(n)) halved, rounded
     up. No integer n has sqrt(n) = k + 1/2, so there is no tie."""

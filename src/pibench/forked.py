@@ -67,12 +67,13 @@ class ForkedChild:
 
     def __init__(self, what: str, work: Callable[[], Iterable]) -> None:
         self.what = what
-        read_fd, write_fd = os.pipe()
+        fds = ()
         try:
+            fds = read_fd, write_fd = os.pipe()
             self.pid = os.fork()
-        except OSError as e:  # EAGAIN or ENOMEM: too many processes, or no memory
-            os.close(read_fd)
-            os.close(write_fd)
+        except OSError as e:  # EMFILE, EAGAIN or ENOMEM: too many files or processes
+            for fd in fds:
+                os.close(fd)
             raise ChildError(
                 f"{what} could not start its child process: {e.strerror or e}"
             ) from None

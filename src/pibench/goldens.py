@@ -31,8 +31,8 @@ from .fixedpoint import (
 from .forked import ForkedChild, can_fork
 from .harness import (
     TABLE_PRESETS,
+    _csv_rows,
     reference_pi,
-    run,
 )
 from .methods import (
     MethodId,
@@ -121,12 +121,16 @@ def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
     flag for each method with a divergent cell: a column of that cell is
     divergent iff the flag holds recomputed_<column>. The preset says which
     methods and columns the table has. A computed cell is the field of its
-    CSV row (report.csv_line) that `pibench table --id tid` prints.
+    CSV row (harness._csv_rows) that `pibench table --id tid` prints.
     """
     preset = TABLE_PRESETS[tid]
-    ref = reference_pi(preset.ctx)
-    printed = {(m, r.n): report.csv_line(r).split(",", 5)
-               for m in preset.methods for r in run(m, preset.schedule, ref.ctx, ref)}
+    ctx = preset.ctx
+    ref = reference_pi(ctx)
+    printed = {}
+    for m in preset.methods:
+        for line in _csv_rows(m, make_state(m, ctx), preset.schedule, ctx, ref):
+            fields = line.split(",", 5)
+            printed[m, int(fields[1])] = fields
     lines = []
     divergent = bad = 0
     for row in table["rows"]:

@@ -10,6 +10,7 @@ from typing import NamedTuple
 from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
+    _TEN,
     _div_half_even,
     _fixed,
     default_guard,
@@ -368,6 +369,78 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
             crossed[i] = (crossed[i][0], r.n)
             i += 1
         yield r
+
+
+def _csv_rows(
+    method: MethodId,
+    state,
+    schedule: Schedule,
+    ctx: PrecisionCtx,
+    ref: ReferencePi,
+    crossed: list | None = None,
+) -> Iterator[str]:
+    """The CSV row (report.csv_line) of each record that _records(method,
+    state, schedule, ctx, ref) would yield, with elapsed_ns by the same
+    clock; crossed, when given, is filled as _crossing fills it. Each row
+    is built in one loop body from the value's significand, with no record,
+    no error BigFixed and no call but the state's two.
+
+    It relies on what every CLI context has: a scale of dp + guard with
+    guard >= 10 (default_guard), and a positive value. So one divmod of the
+    significand by 10**guard gives both the truncation digits_correct
+    compares and the half-even value cell, and the error cell is one
+    half-even division by 10**(scale - ERR_DP). ref must be for ctx.
+    """
+    # The reference's terms at the context scale (see _ScaleTerms); as the
+    # guard is not negative, |x| * 10**dp truncated is x.significand // cut.
+    mult, ref_sig, unit, scale, _, cut, ref_cut, dp = ref._terms[ctx.scale]
+    powers = _TEN
+    # The error significand is 100 * e, for e = unit - round(x * mult /
+    # ref_sig), so its cell is e rounded at 10**(scale - ERR_DP - 2) units,
+    # and abs error < threshold t is |e| * a < b with these a and b.
+    half_cut, err_cut = cut // 2, 10 ** (scale - ERR_DP - 2)
+    half_err, err_one, err_format = err_cut // 2, 10 ** ERR_DP, f"%d.%0{ERR_DP}d"
+    bounds = [(100 * 10 ** max(t.scale - scale, 0),
+               t.significand * 10 ** max(scale - t.scale, 0)) for t, _ in crossed or ()]
+    crossing, count = 0, len(bounds)
+    prefix = f"{method.value},"
+    advance_to, value_of, clock = state.advance_to, state.value, time.perf_counter_ns
+    elapsed = 0
+    start = clock()
+    for n in schedule:
+        advance_to(n)
+        sig = value_of().significand
+        sampled = elapsed + clock() - start
+        truncated, rest = divmod(sig, cut)
+        if truncated == ref_cut:
+            digits = dp
+        else:  # the fewest trailing digits to cut, carries included
+            k = len(str(abs(truncated - ref_cut)))
+            while k <= dp and truncated // powers[k] != ref_cut // powers[k]:
+                k += 1
+            digits = dp - k if k < dp else 0
+        if rest > half_cut or (rest == half_cut and truncated & 1):
+            truncated += 1
+        value = str(truncated).zfill(dp + 1)
+        ratio, rest = divmod(sig * mult, ref_sig)
+        rest += rest
+        if rest > ref_sig or (rest == ref_sig and ratio & 1):
+            ratio += 1
+        err = unit - ratio
+        q, rest = divmod(err, err_cut)
+        if rest > half_err or (rest == half_err and q & 1):
+            q += 1
+        absolute = err_format % divmod(-q if q < 0 else q, err_one)
+        if crossing < count:
+            err = -err if err < 0 else err
+            while crossing < count and err * bounds[crossing][0] < bounds[crossing][1]:
+                crossed[crossing] = (crossed[crossing][0], n)
+                crossing += 1
+        row = (f"{prefix}{n},{value[:-dp]}.{value[-dp:]},{'-' if q < 0 else ''}{absolute},"
+               f"{absolute},{digits},{sampled}\n")
+        elapsed += clock() - start
+        yield row
+        start = clock()
 
 
 # The published tables: the one registry of their methods, schedules,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .fixedpoint import _div_half_even, fx_to_string
+from .fixedpoint import _TEN, _div_half_even, fx_to_string
 from .harness import ERR_DP, TABLE_PRESETS, RunRecord
 from .methods import MethodId
 
@@ -91,19 +91,6 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
                 for r in recs)
             for m, recs in by_method.items()}
     return "".join(markdown_lines(rows, spec.table_id))
-
-
-class _PowersOfTen(dict):
-    """e -> 10**e, each computed on its first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, e: int) -> int:
-        p = self[e] = 10 ** e
-        return p
-
-
-_TEN = _PowersOfTen()
 
 
 def csv_line(r: RunRecord) -> str:

@@ -20,7 +20,6 @@ import pibench.cli as cli
 import pibench.forked as forked
 import pibench.goldens as goldens
 import pibench.harness as harness
-import pibench.report as report
 from pibench.cli import (
     EXIT_BROKEN_PIPE,
     UsageError,
@@ -274,10 +273,10 @@ class TestMainExitCodes:
     def test_unwritable_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
         from pibench import cli
 
-        def no_run(*args, **kwargs):
-            pytest.fail("run was called although --out cannot be written")
+        def no_rows(*args, **kwargs):
+            pytest.fail("a method ran although --out cannot be written")
 
-        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli, "_csv_rows", no_rows)
         path = tmp_path / "missing" / "x.csv"
         assert main(["run", "--method", "wallis", "--schedule", "5",
                      "--format", "csv", "--out", str(path)]) == 1
@@ -561,6 +560,68 @@ def test_failed_fork_exit_4(command, monkeypatch, capsys):
     _assert_closed(fds)
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--method", "leibniz", "--schedule", "0:300:1"],
+    ["compare", "--methods", "newton,viete", *COMPARE_SPLIT],
+], ids=["run", "compare"])
+def test_failed_pipe_exit_4(command, tmp_path, monkeypatch, capsys):
+    # No fd is left for the child's pipe: one line and exit 4, and the
+    # spill files opened before it are closed.
+    _take_path(monkeypatch, True)
+    monkeypatch.setattr(os, "pipe", _no_fds)
+    before = _open_fds()
+    out = tmp_path / "out.csv"
+    assert main([*command, "--format", "csv", "--out", str(out)]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr() == ("", (
+        "pibench: the second half of the schedule could not start its child"
+        f" process: {os.strerror(errno.EMFILE)}\n"))
+    assert _open_fds() == before
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("command, spills", [
+    (["run", "--method", "leibniz", "--schedule", "0:300:1"], 1),
+    (["compare", "--methods", "newton,viete", *COMPARE_SPLIT], 2),
+], ids=["run", "compare"])
+def test_failed_spill_exit_4(command, spills, monkeypatch, capsys):
+    # The last method's spill file cannot be opened: one line and exit 4,
+    # no child started, and the spill files opened before it are closed.
+    import tempfile
+
+    real_file = tempfile.TemporaryFile
+    opened = []
+
+    def temporary_file(*args, **kwargs):
+        if len(opened) + 1 == spills:
+            _no_fds()
+        opened.append(real_file(*args, **kwargs))
+        return opened[-1]
+
+    def no_fork():
+        pytest.fail("a child was started without its spill files")
+
+    _take_path(monkeypatch, True)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    before = _open_fds()
+    assert main([*command, "--format", "csv"]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr() == ("", (
+        "pibench: the second half of the schedule could not start its child"
+        f" process: {os.strerror(errno.EMFILE)}\n"))
+    assert len(opened) == spills - 1 and all(f.closed for f in opened)
+    assert _open_fds() == before
+
+
+def _no_fds(*args):
+    raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+
+def _open_fds() -> set:
+    """This process's open fds, where the system lists them."""
+    path = "/proc/self/fd"
+    return set(os.listdir(path)) if os.path.isdir(path) else set()
+
+
 def _failing_fork(monkeypatch) -> list:
     """Make os.fork fail as it does when no process can be started, and
     start none; the list gets each fd os.pipe opens."""
@@ -754,6 +815,16 @@ class TestSelftestCommand:
             f" {os.strerror(errno.EAGAIN)}\n"))
         _assert_closed(fds)
 
+    def test_failed_pipe_exit_4(self, small_selftest, monkeypatch, capsys):
+        monkeypatch.setattr(os, "pipe", _no_fds)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+        before = _open_fds()
+        assert main(["selftest"]) == cli.EXIT_INTERNAL == 4
+        assert capsys.readouterr() == ("", (
+            "pibench: table 1 audit could not start its child process:"
+            f" {os.strerror(errno.EMFILE)}\n"))
+        assert _open_fds() == before
+
     def test_no_fork_while_another_thread_runs(self, small_selftest, monkeypatch):
         def no_fork():
             pytest.fail("selftest forked while another thread was running")
@@ -801,17 +872,17 @@ class TestSelftestCommand:
 
     def test_audit_checks_the_printed_cells(self, small_selftest, monkeypatch, capsys):
         # The audit reads its cells from the CSV rows that table prints, so
-        # a row printed wrong is a mismatch although the record is right.
-        real_line = report.csv_line
+        # a row printed wrong is a mismatch although the value is right.
+        real_rows = harness._csv_rows
 
-        def csv_line(r):
-            line = real_line(r)
-            if (r.method, r.n) == (MethodId.WALLIS, 5):
-                return line.replace(",3.002175954556907,", ",3.002175954556908,")
-            return line
+        def csv_rows(method, *args):
+            for line in real_rows(method, *args):
+                if line.startswith("wallis,5,"):
+                    line = line.replace(",3.002175954556907,", ",3.002175954556908,")
+                yield line
 
-        monkeypatch.setattr(report, "csv_line", csv_line)
-        monkeypatch.setattr(cli, "csv_line", csv_line)
+        monkeypatch.setattr(goldens, "_csv_rows", csv_rows)
+        monkeypatch.setattr(cli, "_csv_rows", csv_rows)
         assert main(["table", "--id", "1"]) == 0
         assert "| 5 | 3.002175954556908 |" in capsys.readouterr().out
         assert main(["selftest"]) == cli.EXIT_MISMATCH == 3

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact
@@ -12,6 +12,7 @@ from pibench import harness
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
+    default_guard,
     fx_parse,
     fx_to_string,
     fx_truncate_string,
@@ -25,13 +26,22 @@ from pibench.harness import (
     ReferencePi,
     RunRecord,
     Schedule,
+    _csv_rows,
+    _records,
     compare,
     digits_correct,
     pct_error,
     reference_pi,
     run,
 )
-from pibench.methods import ApproximantState, MethodId, NewtonArcsineState, approximant
+from pibench.methods import (
+    ApproximantState,
+    MethodId,
+    NewtonArcsineState,
+    approximant,
+    make_state,
+)
+from pibench.report import csv_line
 
 
 class TestReferencePi:
@@ -444,6 +454,155 @@ class TestCompare:
         assert list(records) == [MethodId.WALLIS, MethodId.VIETE]
         for recs in records.values():
             assert [r.n for r in recs] == [5, 10, 15]
+
+
+def _untimed(row: str) -> str:
+    """A CSV row without its last field, elapsed_ns, a timing."""
+    return row.rsplit(",", 1)[0]
+
+
+@lru_cache(maxsize=None)
+def _cli_ref(dp, max_n):
+    """The reference of a CLI run at --dp dp over a schedule ending at
+    max_n: its guard is default_guard's, ten digits or more."""
+    return reference_pi(PrecisionCtx(dp, default_guard(max_n)))
+
+
+@st.composite
+def _row_cases(draw):
+    """(method, schedule, ref, thresholds): any method, --dp 1-40 or 150,
+    a one-range or a several-run schedule, and decreasing thresholds at
+    scales above and below the context's, one of them the abs error of a
+    sample at its own scale when that error is not 0."""
+    method = draw(st.sampled_from(MethodId))
+    dp = draw(st.one_of(st.integers(1, 40), st.just(150)))
+    first = make_state(method, PrecisionCtx(1)).min_index
+    top = 120 if dp == 150 else 400
+
+    def one_range():
+        start = draw(st.integers(first, top))
+        step = draw(st.integers(1, 25))
+        return range(start, start + step * draw(st.integers(1, 30)), step)
+
+    if draw(st.booleans()):
+        schedule = Schedule(one_range())
+    else:
+        listed = draw(st.lists(st.integers(first, top), min_size=1, max_size=8, unique=True))
+        schedule = Schedule(one_range(), sorted(listed))
+    ref = _cli_ref(dp, schedule.max_n)
+    thresholds = {BigFixed(draw(st.integers(1, 10 ** 6)), draw(st.integers(0, ref.ctx.scale + 8)))
+                  for _ in range(draw(st.integers(0, 4)))}
+    records = list(run(method, schedule, ref.ctx, ref))
+    equal = records[draw(st.integers(0, len(records) - 1))].abs_err_pct
+    if equal.significand:
+        thresholds.add(equal)
+    if not thresholds:
+        thresholds.add(BigFixed(1))
+    return method, schedule, ref, tuple(sorted(thresholds, reverse=True))
+
+
+class _Registers(ApproximantState):
+    """A state whose value at n is the n-th of the given significands at
+    the context scale."""
+
+    def __init__(self, ctx, significands):
+        super().__init__(ctx)
+        self._significands = significands
+
+    def advance_to(self, target):
+        self.n = max(self.n, target)
+
+    def value(self):
+        return BigFixed(self._significands[self.n], self.ctx.scale)
+
+
+@st.composite
+def _register_cases(draw):
+    """(ref, significands): a CLI context, and positive values whose value
+    cell is a half-even tie, whose error cell is one, or whose truncation
+    differs from the reference's by a carry through 1-6 digits, or none of
+    these."""
+    dp = draw(st.one_of(st.integers(1, 40), st.just(150)))
+    ref = _cli_ref(dp, draw(st.integers(1, 10 ** 5)))
+    mult, ref_sig, unit, scale, _, cut, ref_cut, _ = ref._terms[ref.ctx.scale]
+    significands = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["value tie", "error tie", "carry", "near"]))
+        if kind == "value tie":
+            sig = (ref_cut + draw(st.integers(1 - min(ref_cut, 50), 50))) * cut + cut // 2
+        elif kind == "error tie":
+            # 100 (unit - ratio) is a tie at 10**(scale - ERR_DP) units,
+            # and sig one of the values whose ratio to ref rounds to ratio.
+            half = 10 ** (scale - ERR_DP) // 2
+            err = (2 * draw(st.integers(-10 ** 4, 10 ** 4)) + 1) * half
+            ratio = unit - err // 100
+            guess = ratio * ref_sig // mult
+            sig = next(s for s in range(guess - 3, guess + 4)
+                       if (2 * s * mult + ref_sig) // (2 * ref_sig) == ratio)
+        elif kind == "carry":
+            p = 10 ** draw(st.integers(1, min(dp, 6)))
+            top = ref_cut // p + draw(st.sampled_from([-1, 1]))
+            sig = (top * p + draw(st.integers(0, p - 1))) * cut + draw(st.integers(0, cut - 1))
+        else:
+            sig = ref_sig * unit // mult + draw(st.integers(-10 ** 6, 10 ** 6))
+        significands.append(sig)
+    return ref, significands
+
+
+class TestCsvRows:
+    """The CLI's row kernel against the library: each row is csv_line's row
+    of the record _records gives for the same state, elapsed_ns aside, and
+    its crossings are compare()'s."""
+
+    @given(_row_cases())
+    @settings(max_examples=120, deadline=None)
+    @example((MethodId.LEIBNIZ, Schedule(range(0, 40)), _cli_ref(15, 39), (BigFixed(1),)))
+    # Newton past K, Viete past r = 2, zeta8 and zeta6 past _last.
+    @example((MethodId.NEWTON_ARCSINE, Schedule(range(0, 80)), _cli_ref(1, 79), (BigFixed(1),)))
+    @example((MethodId.VIETE, Schedule(range(1, 80)), _cli_ref(1, 79), (BigFixed(1),)))
+    @example((MethodId.ZETA8, Schedule(range(1, 80)), _cli_ref(1, 79), (BigFixed(1),)))
+    @example((MethodId.ZETA6, Schedule(range(100, 200)), _cli_ref(1, 199), (BigFixed(1),)))
+    def test_rows_and_crossings_are_the_library_s(self, case):
+        method, schedule, ref, thresholds = case
+        ctx = ref.ctx
+        crossed = [(t, None) for t in thresholds]
+        rows = _csv_rows(method, make_state(method, ctx), schedule, ctx, ref, crossed)
+        records = _records(method, make_state(method, ctx), schedule, ctx, ref)
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+        other = MethodId.LEIBNIZ if method != MethodId.LEIBNIZ else MethodId.NEWTON_ARCSINE
+        runs, crossings = compare([method, other], schedule, ctx, thresholds)
+        for _ in runs[method]:
+            pass
+        assert crossed == crossings[method]
+
+    @given(_register_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_ties_and_carries(self, case):
+        ref, significands = case
+        ctx, schedule = ref.ctx, Schedule(range(len(significands)))
+        rows = _csv_rows(MethodId.WALLIS, _Registers(ctx, significands), schedule, ctx, ref)
+        records = _records(MethodId.WALLIS, _Registers(ctx, significands), schedule, ctx, ref)
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+
+    def test_a_threshold_equal_to_an_error_is_not_crossed(self):
+        # The crossing is strict, as in compare: Wallis's abs error falls
+        # with n, so a threshold equal to the error at n = 5 is crossed at 6.
+        ref = _cli_ref(15, 10)
+        schedule = Schedule(range(1, 11))
+        at_5 = [r.abs_err_pct for r in run(MethodId.WALLIS, schedule, ref.ctx, ref)][4]
+        crossed = [(at_5, None)]
+        list(_csv_rows(MethodId.WALLIS, make_state(MethodId.WALLIS, ref.ctx), schedule,
+                       ref.ctx, ref, crossed))
+        assert crossed == [(at_5, 6)]
+
+    def test_elapsed_leaves_out_consumer_time(self, ctx15, ref15):
+        elapsed = [0]
+        for row in _csv_rows(MethodId.LEIBNIZ, make_state(MethodId.LEIBNIZ, ctx15),
+                             Schedule((1, 2, 3, 4, 5)), ctx15, ref15):
+            elapsed.append(int(row.rsplit(",", 1)[1]))
+            time.sleep(0.02)
+        steps = [b - a for a, b in zip(elapsed, elapsed[1:])]
+        assert all(0 <= s < 20_000_000 for s in steps), steps
 
 
 def _first_n(method, digits, ctx, ref, budget):
