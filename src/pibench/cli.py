@@ -8,6 +8,7 @@ import os
 import sys
 from collections.abc import Iterator
 
+from . import harness
 from .fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_parse, fx_to_string
 from .forked import ChildError, ForkedChild, can_fork
 from .goldens import selftest
@@ -205,11 +206,19 @@ def _halves(schedule: Schedule) -> tuple[Schedule, Schedule | None]:
 def _second_half(spills: dict, resume_at: int, tail: Schedule, ref: ReferencePi,
                  thresholds: list) -> Iterator[list]:
     """In the child: each method's CSV rows over tail in its spill file,
-    from a fresh state advanced to resume_at outside the clock; then
-    [method, the first n of tail below each threshold]."""
+    from a fresh state; then [method, the first n of tail below each
+    threshold]. The state is advanced to resume_at outside the clock when
+    the tail's rows would step from there (its step, the gap from
+    resume_at, is below harness.JUMP_MIN) and stepping there costs less
+    than jumping every one of them (see harness.JUMP_MIN); otherwise its
+    rows jump from n = 0, as the serial run's do, and need no register."""
+    gap = tail.first - resume_at  # tail is one range, with this step
+    points = (tail.max_n - tail.first) // gap + 1
     for method, spill in spills.items():
         state = make_state(method, ref.ctx)
-        state.advance_to(resume_at)
+        if not hasattr(state, "enclosure") or (
+                gap < harness.JUMP_MIN and resume_at < harness.JUMP_MIN * points):
+            state.advance_to(resume_at)
         crossed = [(t, None) for t in thresholds]
         spill.writelines(_csv_rows(method, state, tail, ref.ctx, ref, crossed))
         spill.flush()

@@ -1,7 +1,7 @@
 """Forked child processes: when one may run, and how it reports back.
 
-selftest audits Table 1 in a child, and run and compare give the second
-half of a long schedule to one; both go through ForkedChild.
+run and compare give the second half of a long schedule to one, through
+ForkedChild.
 """
 
 from __future__ import annotations

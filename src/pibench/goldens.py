@@ -28,7 +28,6 @@ from .fixedpoint import (
     PrecisionCtx,
     fx_sqrt,
 )
-from .forked import ForkedChild, can_fork
 from .harness import (
     TABLE_PRESETS,
     _csv_rows,
@@ -166,38 +165,17 @@ def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
     return lines, divergent, bad
 
 
-# Table 1's Wallis chain is the longest audit, and it cannot be split: each
-# factor rounds the previous product. So one child audits it while the
-# parent audits the rest, and more processes would not finish sooner.
-FORKED_TABLE = 1
-
-
 def selftest() -> SelftestReport:
+    """Every table's audit, then the invariants, in this process."""
     tables = load()
-    forked = None
-    if can_fork():
-        table = tables[str(FORKED_TABLE)]
-        forked = ForkedChild(f"table {FORKED_TABLE} audit",
-                             lambda: [_audit_table(FORKED_TABLE, table)])
-    audits = {}
-    try:
-        for tid in TABLE_PRESETS:
-            if forked is None or tid != FORKED_TABLE:
-                audits[tid] = _audit_table(tid, tables[str(tid)])
-        failures = _quick_invariants()
-        if forked is not None:
-            audits[FORKED_TABLE] = forked.receive()
-    finally:
-        if forked is not None:
-            forked.close()
-
     lines = []
     divergent = bad = 0
     for tid in TABLE_PRESETS:
-        table_lines, d, m = audits[tid]
+        table_lines, d, m = _audit_table(tid, tables[str(tid)])
         lines.extend(table_lines)
         divergent += d
         bad += m
+    failures = _quick_invariants()
     lines.extend(failures)
     bad += len(failures)
 

@@ -371,6 +371,25 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
         yield r
 
 
+# A row is printed from its state's enclosure (WallisState and LeibnizState
+# have one), when the enclosure certifies it, once the row lies k JUMP_MIN
+# steps past the state's n, k - 1 being the rows jumped since the state
+# last stepped; otherwise the state steps to it. A jump leaves the state
+# where it was, so each row after it pays again: the k rule jumps while k
+# jumps cost less than the one catch-up they put off, and so never costs
+# much more than twice the cheaper choice (rent or buy). A dense schedule
+# that starts far out jumps a few rows and then steps. A jump costs J, the
+# closed form plus two rows, against c a step (medians, 2 vCPUs, CPython
+# 3.11; J at n = 600-1,000, where the series take the most terms, and at
+# n >= 10^6): at scale 32 Wallis J = 45 (28) us, c = 0.25 us, and Leibniz
+# J = 23 (16) us, c = 0.17 us; at scale 165 (150 dp) Wallis J = 520
+# (150) us, c = 0.46 us, and Leibniz J = 140-170 (43) us, c = 0.28 us.
+# Jumping pays from J/c: 135-180 steps at the table scales, 600-1,100 at
+# 150 dp. 512 keeps Table 1's and 2's n = 1000 (900 steps past n = 100)
+# a jump, and loses at most 2.2x on a 150-digit Wallis gap of 512-1,100.
+JUMP_MIN = 512
+
+
 def _csv_rows(
     method: MethodId,
     state,
@@ -382,14 +401,26 @@ def _csv_rows(
     """The CSV row (report.csv_line) of each record that _records(method,
     state, schedule, ctx, ref) would yield, with elapsed_ns by the same
     clock; crossed, when given, is filled as _crossing fills it. Each row
-    is built in one loop body from the value's significand, with no record,
-    no error BigFixed and no call but the state's two.
+    is built from the value's significand by row_of, with no record and no
+    error BigFixed.
 
     It relies on what every CLI context has: a scale of dp + guard with
     guard >= 10 (default_guard), and a positive value. So one divmod of the
     significand by 10**guard gives both the truncation digits_correct
     compares and the half-even value cell, and the error cell is one
     half-even division by 10**(scale - ERR_DP). ref must be for ctx.
+
+    A sample far enough past the state's n (JUMP_MIN), when the state has
+    an enclosure (lo, hi) of the register it would hold there, is printed
+    without stepping if the rows of lo and of hi are the same bytes and
+    cross the same thresholds (Ziv's rule, ACM TOMS 17(3), 1991). Every
+    register in [lo, hi] then prints that row. The value and error cells
+    are monotone in the significand. As the value cells agree, the
+    truncations sig // cut of the ends differ by at most one, so every
+    register between has one of theirs, and digits_correct is a function
+    of the truncation. The error does not change sign, so its absolute
+    value, which the crossings compare, is monotone too. Otherwise the
+    state steps. A jumped row's elapsed_ns includes its certificate.
     """
     # The reference's terms at the context scale (see _ScaleTerms); as the
     # guard is not negative, |x| * 10**dp truncated is x.significand // cut.
@@ -400,17 +431,14 @@ def _csv_rows(
     # and abs error < threshold t is |e| * a < b with these a and b.
     half_cut, err_cut = cut // 2, 10 ** (scale - ERR_DP - 2)
     half_err, err_one, err_format = err_cut // 2, 10 ** ERR_DP, f"%d.%0{ERR_DP}d"
+    value_one, value_format = 10 ** dp, f"%d.%0{dp}d"
     bounds = [(100 * 10 ** max(t.scale - scale, 0),
                t.significand * 10 ** max(scale - t.scale, 0)) for t, _ in crossed or ()]
     crossing, count = 0, len(bounds)
     prefix = f"{method.value},"
-    advance_to, value_of, clock = state.advance_to, state.value, time.perf_counter_ns
-    elapsed = 0
-    start = clock()
-    for n in schedule:
-        advance_to(n)
-        sig = value_of().significand
-        sampled = elapsed + clock() - start
+
+    def row_of(n: int, sig: int, sampled: int) -> tuple[str, int]:
+        """(the row at n of a value whose significand is sig, e)."""
         truncated, rest = divmod(sig, cut)
         if truncated == ref_cut:
             digits = dp
@@ -421,7 +449,7 @@ def _csv_rows(
             digits = dp - k if k < dp else 0
         if rest > half_cut or (rest == half_cut and truncated & 1):
             truncated += 1
-        value = str(truncated).zfill(dp + 1)
+        value = value_format % divmod(truncated, value_one)
         ratio, rest = divmod(sig * mult, ref_sig)
         rest += rest
         if rest > ref_sig or (rest == ref_sig and ratio & 1):
@@ -431,13 +459,47 @@ def _csv_rows(
         if rest > half_err or (rest == half_err and q & 1):
             q += 1
         absolute = err_format % divmod(-q if q < 0 else q, err_one)
+        return (f"{prefix}{n},{value},{'-' if q < 0 else ''}{absolute},{absolute},"
+                f"{digits},{sampled}\n"), err
+
+    def passed(err: int) -> int:
+        """The index of the first threshold from crossing on that |err| is
+        not below."""
+        err, i = -err if err < 0 else err, crossing
+        while i < count and err * bounds[i][0] < bounds[i][1]:
+            i += 1
+        return i
+
+    def certified(n: int) -> int | None:
+        """The low end of the state's enclosure at n if its row is that of
+        every register in the enclosure, else None."""
+        ends = enclosure(n)
+        if ends is None:
+            return None
+        (low, low_err), (high, high_err) = row_of(n, ends[0], 0), row_of(n, ends[1], 0)
+        if low != high or high_err < 0 < low_err or passed(low_err) != passed(high_err):
+            return None
+        return ends[0]
+
+    enclosure = getattr(state, "enclosure", None)
+    jump_min = JUMP_MIN if enclosure else float("inf")
+    jump_at = state.n + jump_min  # the first n far enough to jump to
+    advance_to, value_of, clock = state.advance_to, state.value, time.perf_counter_ns
+    elapsed = 0
+    start = clock()
+    for n in schedule:
+        sig = certified(n) if n >= jump_at else None
+        if sig is None:
+            advance_to(n)
+            sig = value_of().significand
+            jump_at = n + jump_min
+        else:
+            jump_at += jump_min
+        row, err = row_of(n, sig, elapsed + clock() - start)
         if crossing < count:
-            err = -err if err < 0 else err
-            while crossing < count and err * bounds[crossing][0] < bounds[crossing][1]:
-                crossed[crossing] = (crossed[crossing][0], n)
-                crossing += 1
-        row = (f"{prefix}{n},{value[:-dp]}.{value[-dp:]},{'-' if q < 0 else ''}{absolute},"
-               f"{absolute},{digits},{sampled}\n")
+            for i in range(crossing, crossed_to := passed(err)):
+                crossed[i] = (crossed[i][0], n)
+            crossing = crossed_to
         elapsed += clock() - start
         yield row
         start = clock()

@@ -32,8 +32,10 @@ b, so the register's bits are those of the single division.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .fixedpoint import (
     BigFixed,
@@ -86,8 +88,77 @@ class ApproximantState:
         raise NotImplementedError
 
 
-class WallisState(ApproximantState):
+class _ClosedFormState(ApproximantState):
+    """A state whose register at any n has an enclosure without stepping:
+    the method's exact value from its closed form (pibench.expansions),
+    widened by the register's bound (_ULPS_A_STEP n ulps, the class
+    docstring's) and by the Machin reference's 0.6 ulp. The closed form is
+    checked once per context against the stepped register at an anchor n
+    (_anchored), so a wrong coefficient leaves no enclosure."""
+
+    _ULPS_A_STEP = Fraction(1)
+
+    def enclosure(self, n: int) -> tuple[int, int] | None:
+        """(lo, hi) with lo <= the register advance_to(n) would hold <= hi,
+        at the context scale, or None where the closed form cannot reach
+        that scale at n."""
+        if n < self.min_index or not _anchored(type(self), self.ctx):
+            return None
+        return self._enclosure(n)
+
+    def _enclosure(self, n: int) -> tuple[int, int] | None:
+        w = self.ctx.scale + _CLOSED_GUARD
+        exact = self._closed_form(n, w)
+        if exact is None:
+            return None
+        lo, hi = exact
+        cut = 10 ** (w - self.ctx.scale)
+        bound = math.ceil(self._ULPS_A_STEP * n)
+        return lo // cut - bound, -(-hi // cut) + bound
+
+
+# Digits beyond the context scale at which a closed form is evaluated.
+_CLOSED_GUARD = 10
+
+
+@lru_cache(maxsize=None)
+def _pi_enclosure(w: int) -> tuple[int, int]:
+    """Integers around pi 10**w: the Machin reference, within 0.6 ulp."""
+    from .harness import reference_pi  # harness imports this module
+
+    pi = reference_pi(PrecisionCtx(w, 0)).value.significand
+    return pi - 1, pi + 1
+
+
+@lru_cache(maxsize=None)
+def _anchored(cls: type, ctx: PrecisionCtx) -> bool:
+    """Whether cls's enclosure holds its stepped register at n = 2w and
+    2w + 1, w the closed form's scale. Both series reach w there for w up
+    to 272 (Leibniz) and 359 (Wallis); past that no row jumps."""
+    anchor, state = 2 * (ctx.scale + _CLOSED_GUARD), cls(ctx)
+    for n in (anchor, anchor + 1):
+        state.advance_to(n)
+        ends = state._enclosure(n)
+        if ends is None or not ends[0] <= state._acc <= ends[1]:
+            return False
+    return True
+
+
+class WallisState(_ClosedFormState):
+    """Bound in ulps u = 10^-scale: the register starts at 2, exact, and
+    step k rounds acc f_k, f_k = 4k^2/(4k^2 - 1), to nearest, so its error
+    obeys e_k = f_k e_(k-1) + d_k with |d_k| <= u/2. Unrolled, e_n =
+    sum_k d_k W_n/W_k, and W_n/W_k < pi/W_1 = 3 pi/8 < 1.18, so
+
+        |wallis(n) - 2 prod_{k=1..n} f_k| <= (3 pi/16) n u < 0.59 n u.
+
+    Measured: at most n u/3 at scales 1-6, 27 and 32 for n < 300 (the
+    first step, 8/3 rounded, is u/3 off), and 0.0068 n u at n = 1000 and
+    0.00057 n u at n = 10^5 on scale 32.
+    """
+
     method = MethodId.WALLIS
+    _ULPS_A_STEP = Fraction(59, 100)
 
     def __init__(self, ctx: PrecisionCtx) -> None:
         super().__init__(ctx)
@@ -112,8 +183,18 @@ class WallisState(ApproximantState):
         check_index(self.method, self.n)
         return _fixed(self._acc, self.ctx.scale)
 
+    @staticmethod
+    def _closed_form(n: int, w: int) -> tuple[int, int] | None:
+        from .expansions import wallis_ratio  # on the first jump only
 
-class LeibnizState(ApproximantState):
+        ratio = wallis_ratio(n, w)
+        if ratio is None:
+            return None
+        (lo, hi), one = _pi_enclosure(w), 10 ** w
+        return lo * ratio[0] // one, -(-hi * ratio[1] // one)
+
+
+class LeibnizState(_ClosedFormState):
     """Bound in ulps u = 10^-scale: the k = 0 term is exact and each later
     one, 4/(2k+1) rounded to nearest, is off by at most k/(2k+1) < u/2, so
 
@@ -124,6 +205,7 @@ class LeibnizState(ApproximantState):
 
     method = MethodId.LEIBNIZ
     min_index = 0
+    _ULPS_A_STEP = Fraction(1, 2)
 
     def __init__(self, ctx: PrecisionCtx) -> None:
         super().__init__(ctx)
@@ -141,6 +223,16 @@ class LeibnizState(ApproximantState):
 
     def value(self) -> BigFixed:
         return _fixed(self._acc, self.ctx.scale)
+
+    @staticmethod
+    def _closed_form(n: int, w: int) -> tuple[int, int] | None:
+        from .expansions import leibniz_tail  # on the first jump only
+
+        tail = leibniz_tail(n, w)
+        if tail is None:
+            return None
+        lo, hi = _pi_enclosure(w)
+        return lo + tail[0], hi + tail[1]
 
 
 class NewtonArcsineState(ApproximantState):

@@ -1,12 +1,13 @@
 import errno
 import hashlib
+import io
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -29,9 +30,15 @@ from pibench.cli import (
     parse_schedule_expr,
 )
 from pibench.fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_to_string
-from pibench.harness import run
-from pibench.methods import ApproximantState, MethodId
+from pibench.harness import Schedule, run
+from pibench.methods import ApproximantState, LeibnizState, MethodId, WallisState
 from pibench.report import CSV_HEADER
+from conftest import leibniz_mp, mp_string, pct_err_mp, wallis_mp
+
+
+PINNED_SELFTEST = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json").read_text()
+)["reproduce"]
 
 
 def expanded_schedule(expr: str) -> list[int]:
@@ -226,6 +233,24 @@ class TestMainExitCodes:
                      "--dp", str(dp), "--format", "csv"]) == 0
         value = capsys.readouterr().out.splitlines()[1].split(",")[2]
         assert value == fx_to_string(BigFixed(round(exact * 10 ** dp), dp), dp)
+
+    @pytest.mark.parametrize("method, oracle", [("wallis", wallis_mp), ("leibniz", leibniz_mp)])
+    def test_run_jumps_to_a_billion(self, method, oracle, monkeypatch, capsys):
+        # Stepping to n = 10^9 would take minutes. The row is printed from
+        # the certified closed form, and its cells are the oracle's.
+        cls = WallisState if method == "wallis" else LeibnizState
+        real_advance = cls.advance_to
+
+        def advance_to(state, n):
+            assert n < 1000, f"stepped to {n}"
+            real_advance(state, n)
+
+        monkeypatch.setattr(cls, "advance_to", advance_to)
+        assert main(["run", "--method", method, "--schedule", "1000000000",
+                     "--dp", "15", "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == mp_string(lambda: oracle(10 ** 9), 15)
+        assert row[4] == mp_string(lambda: pct_err_mp(oracle(10 ** 9)), 5)
 
     def test_run_below_13_dp(self, capsys):
         assert main(["run", "--method", "wallis", "--schedule", "5",
@@ -459,7 +484,9 @@ class TestSplit:
         ["compare", "--methods", "newton,viete", *COMPARE_SPLIT],
         # md takes the methods sorted, the child in the given order
         ["compare", "--methods", "viete,newton", *COMPARE_SPLIT],
-    ], ids=["run", "compare", "compare-reversed"])
+        # every row jumps, so neither half steps Wallis past n = 2w + 1
+        ["run", "--method", "wallis", "--schedule", "1000:2000000:1000"],
+    ], ids=["run", "compare", "compare-reversed", "run-jumps"])
     def test_split_equals_serial(self, command, fmt, forks, monkeypatch, capsys):
         argv = [*command, "--format", fmt]
         assert main(argv) == 0
@@ -486,16 +513,50 @@ class TestSplit:
             assert len(elapsed) == 2000
             assert elapsed == sorted(elapsed), method
 
-    def test_catch_up_is_outside_the_clock(self, forks, capsys):
+    def test_catch_up_is_outside_the_clock(self, forks, monkeypatch, capsys):
         # Both halves step from n = 0 to 200,000 before their first row;
         # only the parent's clock counts it. The child's first row then
-        # adds one step to the parent's last, not another 200,000.
+        # adds one step to the parent's last, not another 200,000. No row
+        # jumps (harness.JUMP_MIN), so that both halves step.
+        monkeypatch.setattr(harness, "JUMP_MIN", 10 ** 9)
         assert main(["run", "--method", "leibniz", "--schedule", "200000:200003:1",
                      "--format", "csv"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         elapsed = [int(row.rsplit(",", 1)[1]) for row in rows]
         assert len(forks) == 1
         assert elapsed[2] - elapsed[1] < elapsed[0] / 10, elapsed
+
+    @pytest.mark.parametrize("points, caught_up", [
+        (range(1000, 2_000_001, 1000), False),  # every row jumps
+        (range(1, 2001), True),  # every row steps
+        # Dense but far out: 1000 jumps cost less than 10^7 steps.
+        (range(10 ** 7, 10 ** 7 + 2000), False),
+    ], ids=["jumps", "steps", "dense-far-out"])
+    def test_child_steps_only_a_chain_it_steps(self, points, caught_up, monkeypatch):
+        # The child advances a fresh state to the parent's last point only
+        # when the tail's rows would step from there and that costs less
+        # than jumping them all; either way its rows are the serial run's.
+        targets = []
+        real_advance = WallisState.advance_to
+
+        def advance_to(state, target):
+            targets.append(target)
+            real_advance(state, target)
+
+        monkeypatch.setattr(WallisState, "advance_to", advance_to)
+        head, tail = Schedule(points).halves(2)
+        ctx = PrecisionCtx(15, default_guard(points[-1]))
+        ref = harness.reference_pi(ctx)
+        spill = io.StringIO()
+        done = list(cli._second_half({MethodId.WALLIS: spill}, head.max_n, tail, ref, []))
+        assert done == [["wallis", []]]
+        assert (head.max_n in targets) is caught_up
+        # Jumps step only to the anchor where a context's closed form is
+        # checked once, 2w + 1 for w = scale + 10.
+        assert (max(targets, default=0) > 2 * (ctx.scale + 10) + 1) is caught_up
+        serial = harness._csv_rows(MethodId.WALLIS, WallisState(ctx), Schedule(points), ctx, ref)
+        expected = [row for row in serial if int(row.split(",")[1]) > head.max_n]
+        assert _without_elapsed(spill.getvalue()) == _without_elapsed("".join(expected))
 
     @pytest.mark.parametrize("schedule", ["1:50:1,100:1000:100", "7"])
     def test_only_a_range_of_two_points_or_more_splits(self, schedule, forks, capsys):
@@ -726,31 +787,46 @@ def small_selftest(monkeypatch):
     goldens.load.cache_clear()
 
 
-# The shrunk selftest's report text, forked or not: 101 divergent cells.
+# The shrunk selftest's report text: 101 divergent cells.
 SMALL_SELFTEST_SHA256 = "094b7159c2c30e33dc06abbc42c4d49880860f41d8089adcff0ae10551ec0776"
 
 
 class TestSelftestCommand:
-    @pytest.mark.parametrize("fork", ["forked", "in-process"])
-    def test_selftest_quick_paths(self, small_selftest, monkeypatch, fork):
-        forks = []
-        if fork == "forked":
-            real_fork = os.fork
-
-            def counted_fork():
-                forks.append(1)
-                return real_fork()
-
-            monkeypatch.setattr(os, "fork", counted_fork)
-            monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-        else:
-            monkeypatch.delattr(os, "fork")
-
+    def test_selftest_quick_paths(self, small_selftest):
         report = goldens.selftest()
-        assert len(forks) == (fork == "forked")
         assert (report.ok, report.expected_divergent, report.mismatches) == (True, 101, 0)
         digest = hashlib.sha256(report.text().encode()).hexdigest()
         assert digest == SMALL_SELFTEST_SHA256
+
+    def test_never_forks(self, monkeypatch, capsys):
+        # The full selftest audits every table in this process, with two
+        # CPUs usable too: it opens no pipe and starts no child.
+        def no_fork():
+            pytest.fail("selftest forked")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        monkeypatch.setattr(os, "pipe", _no_fds)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+        assert main(["selftest"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SELFTEST
+        assert out.endswith("selftest: 111 expected-divergent cells, 0 failures\n")
+
+    def test_tables_1_and_2_step_only_to_n_100(self, monkeypatch):
+        # Their rows from n = 1000 to 10^7 are printed from certified closed
+        # forms; only the rows to n = 100, and the anchors where each
+        # context checks its closed forms (n <= 85 at scale 32), step.
+        targets = []
+        for cls in (WallisState, LeibnizState):
+            def advance_to(state, n, real=cls.advance_to):
+                targets.append(n)
+                real(state, n)
+
+            monkeypatch.setattr(cls, "advance_to", advance_to)
+        for tid in (1, 2):
+            _, _, bad = goldens._audit_table(tid, goldens.load()[str(tid)])
+            assert bad == 0
+        assert 100 in targets and max(targets) == 100
 
     def test_one_cpu_runs_in_one_process(self, small_selftest, monkeypatch):
         def no_fork():
@@ -760,70 +836,6 @@ class TestSelftestCommand:
         monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
         report = goldens.selftest()
         assert hashlib.sha256(report.text().encode()).hexdigest() == SMALL_SELFTEST_SHA256
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_child_failure_raises_in_parent(self, small_selftest, monkeypatch):
-        real_audit = goldens._audit_table
-
-        def audit(tid, table):
-            if tid == 1:
-                raise ValueError("broken on purpose")
-            return real_audit(tid, table)
-
-        monkeypatch.setattr(goldens, "_audit_table", audit)
-        with pytest.raises(RuntimeError, match="table 1 .*ValueError: broken on purpose"):
-            goldens.selftest()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_child_failure_exit_4(self, small_selftest, monkeypatch, capsys):
-        real_audit = goldens._audit_table
-
-        def audit(tid, table):
-            if tid == 1:
-                raise MemoryError
-            return real_audit(tid, table)
-
-        monkeypatch.setattr(goldens, "_audit_table", audit)
-        assert main(["selftest"]) == cli.EXIT_INTERNAL == 4
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "pibench: table 1 audit failed in its child process: MemoryError\n"
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_parent_interrupt_kills_the_child(self, small_selftest, monkeypatch):
-        def audit(tid, table):
-            if tid == 1:
-                time.sleep(60)  # still running when the parent is interrupted
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(goldens, "_audit_table", audit)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            goldens.selftest()
-        assert time.monotonic() - start < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_failed_fork_exit_4(self, small_selftest, monkeypatch, capsys):
-        fds = _failing_fork(monkeypatch)
-        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-        assert main(["selftest"]) == cli.EXIT_INTERNAL == 4
-        assert capsys.readouterr() == ("", (
-            "pibench: table 1 audit could not start its child process:"
-            f" {os.strerror(errno.EAGAIN)}\n"))
-        _assert_closed(fds)
-
-    def test_failed_pipe_exit_4(self, small_selftest, monkeypatch, capsys):
-        monkeypatch.setattr(os, "pipe", _no_fds)
-        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-        before = _open_fds()
-        assert main(["selftest"]) == cli.EXIT_INTERNAL == 4
-        assert capsys.readouterr() == ("", (
-            "pibench: table 1 audit could not start its child process:"
-            f" {os.strerror(errno.EMFILE)}\n"))
-        assert _open_fds() == before
 
     def test_no_fork_while_another_thread_runs(self, small_selftest, monkeypatch):
         def no_fork():

@@ -1,6 +1,7 @@
 import time
 from dataclasses import replace
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact
-from pibench import harness
+from pibench import expansions, harness, methods
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
@@ -20,12 +21,14 @@ from pibench.fixedpoint import (
 from pibench.goldens import load as load_goldens
 from pibench.harness import (
     ERR_DP,
+    JUMP_MIN,
     PAIRINGS,
     TABLE_PRESETS,
     ReferenceIntegrityError,
     ReferencePi,
     RunRecord,
     Schedule,
+    _crossing,
     _csv_rows,
     _records,
     compare,
@@ -549,6 +552,42 @@ def _register_cases(draw):
     return ref, significands
 
 
+@st.composite
+def _jump_cases(draw):
+    """(method, schedule, ref, threshold, pick, widen): Wallis or Leibniz at
+    --dp 1-40 or 150, on increasing points to at most 2*10^5 whose gaps
+    lie below, about and above JUMP_MIN; a threshold, and the index of a
+    sample whose abs error is another; and widen, units added to each side
+    of every enclosure: 0, or enough that the ends' rows sometimes or
+    always differ, so that those rows fall back to stepping."""
+    method = draw(st.sampled_from([MethodId.WALLIS, MethodId.LEIBNIZ]))
+    dp = draw(st.one_of(st.integers(1, 40), st.just(150)))
+    gaps = draw(st.lists(st.one_of(st.integers(1, 60),
+                                   st.integers(JUMP_MIN - 100, JUMP_MIN + 400),
+                                   st.integers(JUMP_MIN + 400, 60_000)),
+                         min_size=1, max_size=10))
+    points = [n for n in accumulate(gaps, initial=draw(st.integers(1, 1000))) if n <= 200_000]
+    schedule = Schedule(points)
+    ref = _cli_ref(dp, schedule.max_n)
+    guard = ref.ctx.guard_dp
+    widen = draw(st.sampled_from([0, 0, 10 ** (guard - 1), 10 ** (guard + 1)]))
+    threshold = BigFixed(draw(st.integers(1, 10 ** 6)), draw(st.integers(0, ref.ctx.scale)))
+    return method, schedule, ref, threshold, draw(st.integers(0, len(points) - 1)), widen
+
+
+def _widened(state, widen):
+    """state, its enclosure widened by widen units each side."""
+    if widen:
+        enclosure = state.enclosure
+
+        def widened(n):
+            ends = enclosure(n)
+            return ends and (ends[0] - widen, ends[1] + widen)
+
+        state.enclosure = widened
+    return state
+
+
 class TestCsvRows:
     """The CLI's row kernel against the library: each row is csv_line's row
     of the record _records gives for the same state, elapsed_ns aside, and
@@ -594,6 +633,73 @@ class TestCsvRows:
         list(_csv_rows(MethodId.WALLIS, make_state(MethodId.WALLIS, ref.ctx), schedule,
                        ref.ctx, ref, crossed))
         assert crossed == [(at_5, 6)]
+
+    @given(_jump_cases())
+    @settings(max_examples=40, deadline=None)
+    # Table 2's rows past n = 100, and Table 1's with every row falling back.
+    @example((MethodId.LEIBNIZ, Schedule((100, 1000, 10 ** 4, 10 ** 5)),
+              _cli_ref(15, 10 ** 5), BigFixed(1), 2, 0))
+    @example((MethodId.WALLIS, Schedule((100, 1000, 10 ** 4, 10 ** 5)),
+              _cli_ref(15, 10 ** 5), BigFixed(1), 2, 10 ** 16))
+    def test_jumped_rows_are_the_library_s(self, case):
+        # A row far enough past its state's n is printed from the state's
+        # enclosure when the enclosure certifies it, and stepped otherwise;
+        # either way it is the row of the stepped record. A threshold equal
+        # to a jumped sample's abs error makes its ends cross differently.
+        method, schedule, ref, threshold, pick, widen = case
+        ctx = ref.ctx
+        records = list(_records(method, make_state(method, ctx), schedule, ctx, ref))
+        thresholds = {threshold, records[pick].abs_err_pct} - {BigFixed(0)}
+        thresholds = sorted(thresholds, reverse=True)
+        crossed = [(t, None) for t in thresholds]
+        rows = _csv_rows(method, _widened(make_state(method, ctx), widen), schedule, ctx, ref,
+                         crossed)
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+        expected = [(t, None) for t in thresholds]
+        for _ in _crossing(iter(records), expected):
+            pass
+        assert crossed == expected
+
+    def test_far_rows_jump_and_dense_rows_step(self, ctx15, ref15, monkeypatch):
+        # From n = 0, the k-th row jumped needs k JUMP_MIN steps: 5000 to
+        # 5008 jump, 5009 steps from 0, and the rest step one at a time.
+        targets = []
+        state = make_state(MethodId.LEIBNIZ, ctx15)
+        real_advance = state.advance_to
+        monkeypatch.setattr(state, "advance_to", lambda n: targets.append(n) or real_advance(n))
+        assert JUMP_MIN == 512
+        schedule = Schedule(range(5000, 5020))
+        rows = _csv_rows(MethodId.LEIBNIZ, state, schedule, ctx15, ref15)
+        records = _records(MethodId.LEIBNIZ, make_state(MethodId.LEIBNIZ, ctx15), schedule,
+                           ctx15, ref15)
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+        assert targets == list(range(5009, 5020))
+
+    @pytest.mark.parametrize("method, k", [(MethodId.LEIBNIZ, 4), (MethodId.WALLIS, 3)],
+                             ids=["leibniz", "wallis"])
+    def test_a_wrong_coefficient_prints_no_wrong_cell(self, method, k, monkeypatch):
+        # E_4 = 5 taken as 6 for Leibniz, or T_3 = 2 (so B_4) as 3 for
+        # Wallis: the closed form then misses the register at n = 1000, but
+        # it also misses it at the anchor, so no row jumps.
+        real_zigzag = expansions._zigzag
+        monkeypatch.setattr(expansions, "_zigzag", lambda j: real_zigzag(j) + (j == k))
+        methods._anchored.cache_clear()
+        try:
+            ref = _cli_ref(15, 10 ** 5)
+            ctx = ref.ctx
+            stepped = make_state(method, ctx)
+            stepped.advance_to(1000)
+            lo, hi = make_state(method, ctx)._enclosure(1000)
+            assert not lo <= stepped._acc <= hi
+            assert make_state(method, ctx).enclosure(1000) is None
+            schedule = Schedule((100, 1000, 20000))
+            state = make_state(method, ctx)
+            rows = list(_csv_rows(method, state, schedule, ctx, ref))
+            records = _records(method, make_state(method, ctx), schedule, ctx, ref)
+            assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+            assert state.n == 20000
+        finally:
+            methods._anchored.cache_clear()
 
     def test_elapsed_leaves_out_consumer_time(self, ctx15, ref15):
         elapsed = [0]

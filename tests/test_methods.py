@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -6,6 +7,7 @@ from itertools import accumulate
 import mpmath
 import pytest
 
+from pibench import expansions
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
@@ -22,7 +24,7 @@ from pibench.methods import (
     euler_cf_convergent,
     make_state,
 )
-from conftest import exact, mp_string, viete_mp
+from conftest import exact, leibniz_mp, mp_string, viete_mp, wallis_mp
 
 CTX = PrecisionCtx(15, 12)
 
@@ -269,6 +271,85 @@ class TestUlpBounds:
 
     def test_newton_stops_at_48_on_scale_32(self):
         assert _newton_stop(PrecisionCtx(15, 17)) == 48
+
+    WALLIS_PRODUCTS = list(accumulate(
+        (Fraction(4 * k * k, 4 * k * k - 1) for k in range(1, 300)), operator.mul,
+        initial=Fraction(2)))
+
+    @pytest.mark.parametrize("ctx", BOUND_CTXS, ids=lambda c: f"scale{c.scale}")
+    def test_wallis_half_ulp_a_step_scaled_by_the_rest(self, ctx):
+        prev = 0
+        for n, err in _errors_in_ulps(MethodId.WALLIS, ctx, self.WALLIS_PRODUCTS):
+            factor = Fraction(4 * n * n, 4 * n * n - 1)
+            assert abs(err - factor * prev) <= Fraction(1, 2), f"step {n}"
+            assert abs(err) <= Fraction(59, 100) * n, f"n={n}: {float(err)} ulp"
+            prev = err
+
+    def test_wallis_bound_far_out(self):
+        # W_n = 2 (2^n n!)^4 / ((2n)! (2n+1)!), compared in integers.
+        ctx = PrecisionCtx(15, 17)
+        state = make_state(MethodId.WALLIS, ctx)
+        for n in (1000, 20000, 100000):
+            state.advance_to(n)
+            f = math.factorial
+            num = 2 * (2 ** n * f(n)) ** 4 * 10 ** ctx.scale
+            den = f(2 * n) * f(2 * n + 1)
+            assert 100 * abs(state._acc * den - num) <= 59 * n * den, n
+
+
+class TestClosedForms:
+    """The closed forms a jump prints from (pibench.expansions and the
+    states' enclosure) against the mpmath oracles and stepped registers."""
+
+    NS = (600, 1001, 10 ** 4, 10 ** 6, 10 ** 9)
+
+    @pytest.mark.parametrize("w", [20, 42, 180])
+    def test_series_hold_the_oracles(self, w):
+        for n in self.NS:
+            with mpmath.workdps(w + 40):
+                ratio = wallis_mp(n) / mpmath.pi * mpmath.mpf(10) ** w
+                tail = (leibniz_mp(n) - mpmath.pi) * mpmath.mpf(10) ** w
+            lo, hi = expansions.wallis_ratio(n, w)
+            assert lo <= ratio <= hi and hi - lo < 1000, n
+            lo, hi = expansions.leibniz_tail(n, w)
+            assert lo <= tail <= hi and hi - lo < 1000, n
+
+    def test_series_give_up_where_they_cannot_reach(self):
+        # The terms grow before they reach 10^-180 at n = 30.
+        assert expansions.wallis_ratio(30, 180) is None
+        assert expansions.leibniz_tail(30, 180) is None
+
+    @pytest.mark.parametrize("ctx", [PrecisionCtx(1, 19), PrecisionCtx(15, 17),
+                                     PrecisionCtx(40, 19), PrecisionCtx(150, 19)],
+                             ids=lambda c: f"s{c.scale}")
+    @pytest.mark.parametrize("method", [MethodId.WALLIS, MethodId.LEIBNIZ],
+                             ids=lambda m: m.value)
+    def test_enclosure_holds_the_oracle(self, method, ctx):
+        oracle = wallis_mp if method is MethodId.WALLIS else leibniz_mp
+        state = make_state(method, ctx)
+        for n in self.NS:
+            lo, hi = state.enclosure(n)
+            with mpmath.workdps(ctx.scale + 30):
+                exact = oracle(n) * mpmath.mpf(10) ** ctx.scale
+            assert lo <= exact <= hi, n
+            # The register's bound either side, and an ulp or two.
+            bound = 59 * n / 100 if method is MethodId.WALLIS else n / 2
+            assert hi - lo <= 2 * bound + 4, n
+        assert state.n == 0
+
+    @pytest.mark.parametrize("ctx", [PrecisionCtx(1, 0), PrecisionCtx(15, 12),
+                                     PrecisionCtx(150, 15)], ids=lambda c: f"s{c.scale}")
+    @pytest.mark.parametrize("method", [MethodId.WALLIS, MethodId.LEIBNIZ],
+                             ids=lambda m: m.value)
+    def test_enclosure_holds_the_stepped_register(self, method, ctx):
+        stepped, fresh = make_state(method, ctx), make_state(method, ctx)
+        for n in (90, 91, 600, 601, 5000, 40001):
+            stepped.advance_to(n)
+            ends = fresh.enclosure(n)
+            if ends is None:  # the series cannot reach scale 175 at n = 90
+                assert (ctx.scale, n) in ((165, 90), (165, 91))
+                continue
+            assert ends[0] <= stepped._acc <= ends[1], n
 
 
 class TestStateProtocol:
