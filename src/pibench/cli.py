@@ -29,7 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFERENCE = 2
 EXIT_MISMATCH = 3
-EXIT_INTERNAL = 4  # a forked child failed
+EXIT_INTERNAL = 4  # a forked child failed, or pibench itself raised
 EXIT_OUTPUT = 5  # writing the output failed
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for `yes | head`
 
@@ -348,6 +348,11 @@ def main(argv=None) -> int:
         # stdout at devnull so that the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except Exception:  # a fault in pibench, not in its input: not a usage error
+        import traceback  # only on this path; it costs set-up time
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -41,8 +41,8 @@ class _PowersOfTen(dict):
         return p
 
 
-# One table for every per-row path, so the powers a run walks are computed
-# once per process, not once per run and method.
+# The powers of ten the row kernel (harness._csv_rows, their only user)
+# walks to count correct digits, each computed once per process, not per run.
 _TEN = _PowersOfTen()
 
 
@@ -176,8 +176,8 @@ _set_scale = BigFixed.scale.__set__
 
 def _fixed(significand: int, scale: int) -> BigFixed:
     """BigFixed(significand, scale) for a scale already known to be >= 0,
-    without __post_init__: the private constructor of the per-sample paths
-    (value() and the error metrics). A zero significand still gets scale 0.
+    without __post_init__: the private constructor of the per-sample
+    value() paths. A zero significand still gets scale 0.
     """
     x = _new(BigFixed)
     _set_significand(x, significand)

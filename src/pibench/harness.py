@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fixedpoint import (
@@ -12,7 +12,6 @@ from .fixedpoint import (
     PrecisionCtx,
     _TEN,
     _div_half_even,
-    _fixed,
     default_guard,
     fx_parse,
     fx_round,
@@ -30,44 +29,13 @@ class ReferenceIntegrityError(Exception):
     """The reference value failed its 15-digit integrity check."""
 
 
-class _ScaleTerms(dict):
-    """Sample scale -> the integers both metrics need for a sample of that
-    scale, computed on its first use:
-
-        (a, b, unit, scale, c, d, truncated, working_dp)
-
-    x / value at the context scale is x.significand * a / b, and unit is
-    10**scale, a ratio of 1 there; |x| * 10**working_dp truncated is
-    |x.significand| * c // d, and truncated is that integer of the value
-    itself. ctx.scale and working_dp are read here, once per scale.
-    """
-
-    __slots__ = ("_value", "_ctx")
-
-    def __init__(self, value: BigFixed, ctx: PrecisionCtx) -> None:
-        super().__init__()
-        self._value, self._ctx = value, ctx
-
-    def __missing__(self, scale: int) -> tuple[int, ...]:
-        v, s, dp = self._value, self._ctx.scale, self._ctx.working_dp
-        e = s + v.scale - scale
-        a, b = 10 ** max(e, 0), v.significand * 10 ** max(-e, 0)
-        t = scale - dp
-        c, d = 10 ** max(-t, 0), 10 ** max(t, 0)
-        t = v.scale - dp
-        truncated = v.significand * 10 ** max(-t, 0) // 10 ** max(t, 0)
-        terms = self[scale] = (a, b, 10 ** s, s, c, d, truncated, dp)
-        return terms
-
-
 @dataclass(frozen=True)
 class ReferencePi:
+    """A reference value of pi (reference_pi rounds it at the context
+    scale) and the context the error metrics are taken at."""
+
     value: BigFixed
     ctx: PrecisionCtx
-    _terms: _ScaleTerms = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_terms", _ScaleTerms(self.value, self.ctx))
 
 
 def _atan_inv(x: int, one: int) -> int:
@@ -129,10 +97,11 @@ def pct_error(x: BigFixed, ref: ReferencePi) -> tuple[BigFixed, BigFixed]:
     there, so signed = 100 * (10**S - round(x * 10**S / ref)) * 10**-S.
     The reference is positive (reference_pi checks that it begins 3.14).
     """
-    a, b, unit, scale, _, _, _, _ = ref._terms[x.scale]
-    sig = 100 * (unit - _div_half_even(x.significand * a, b))
-    signed = _fixed(sig, scale)
-    return signed, signed if sig >= 0 else _fixed(-sig, scale)
+    s, r = ref.ctx.scale, ref.value
+    e = s + r.scale - x.scale  # x * 10**S / ref = x.significand * 10**e / r.significand
+    ratio = _div_half_even(x.significand * 10 ** max(e, 0), r.significand * 10 ** max(-e, 0))
+    signed = BigFixed(100 * (10 ** s - ratio), s)
+    return signed, abs(signed)
 
 
 def digits_correct(x: BigFixed, ref: ReferencePi) -> int:
@@ -143,19 +112,14 @@ def digits_correct(x: BigFixed, ref: ReferencePi) -> int:
     """
     if x.significand < 0:
         return 0
-    _, _, _, _, c, d, b, dp = ref._terms[x.scale]
-    a = x.significand * c // d
-    if a == b:
-        return dp
-    # k is the fewest trailing digits whose removal makes a and b agree.
-    # It is at least the digit count of |a - b|, and more when a carry runs
-    # through the difference (3.199 against 3.200).
-    k = len(str(abs(a - b)))
-    p = 10 ** k
-    while k <= dp and a // p != b // p:
-        k += 1
-        p *= 10
-    return max(dp - k, 0)
+    dp, r = ref.ctx.working_dp, ref.value
+    one = 10 ** dp
+    x_int, x_frac = divmod(x.significand * one // 10 ** x.scale, one)
+    r_int, r_frac = divmod(r.significand * one // 10 ** r.scale, one)
+    if x_int != r_int:
+        return 0
+    x_frac, r_frac = f"{x_frac:0{dp}d}", f"{r_frac:0{dp}d}"
+    return next((i for i in range(dp) if x_frac[i] != r_frac[i]), dp)
 
 
 class Schedule:
@@ -270,27 +234,21 @@ def _records(
     ref: ReferencePi,
 ) -> Iterator[RunRecord]:
     # The clock runs only while this body does, so the time a consumer
-    # spends between records is not in elapsed_ns. tuple.__new__ builds a
-    # record as RunRecord.__new__ does, without its Python-level call; the
-    # metrics are looked up as globals on each record, so a wrapper
-    # installed around them sees every call.
-    advance_to, value_of, clock = state.advance_to, state.value, time.perf_counter_ns
-    new_record = tuple.__new__
-    working_dp = ctx.working_dp
+    # spends between records is not in elapsed_ns. The metrics are looked
+    # up as globals on each record, so a wrapper installed around them
+    # sees every call.
     elapsed = 0
-    start = clock()
+    start = time.perf_counter_ns()
     for target in schedule:
-        advance_to(target)
-        value = value_of()
-        sampled = elapsed + clock() - start
+        state.advance_to(target)
+        value = state.value()
+        sampled = elapsed + time.perf_counter_ns() - start
         signed, absolute = pct_error(value, ref)
-        record = new_record(RunRecord, (
-            method, target, value, signed, absolute,
-            digits_correct(value, ref), sampled, working_dp,
-        ))
-        elapsed += clock() - start
+        record = RunRecord(method, target, value, signed, absolute,
+                           digits_correct(value, ref), sampled, ctx.working_dp)
+        elapsed += time.perf_counter_ns() - start
         yield record
-        start = clock()
+        start = time.perf_counter_ns()
 
 
 # The source study's five pairwise comparisons, addressable by name.
@@ -408,7 +366,10 @@ def _csv_rows(
     guard >= 10 (default_guard), and a positive value. So one divmod of the
     significand by 10**guard gives both the truncation digits_correct
     compares and the half-even value cell, and the error cell is one
-    half-even division by 10**(scale - ERR_DP). ref must be for ctx.
+    half-even division by 10**(scale - ERR_DP). ref must be for ctx; the
+    integers read from it are derived once per call from ref.value at its
+    own scale, so the kernel shares no arithmetic with pct_error and
+    digits_correct, the reference its rows are tested against.
 
     A sample far enough past the state's n (JUMP_MIN), when the state has
     an enclosure (lo, hi) of the register it would hold there, is printed
@@ -422,9 +383,13 @@ def _csv_rows(
     value, which the crossings compare, is monotone too. Otherwise the
     state steps. A jumped row's elapsed_ns includes its certificate.
     """
-    # The reference's terms at the context scale (see _ScaleTerms); as the
-    # guard is not negative, |x| * 10**dp truncated is x.significand // cut.
-    mult, ref_sig, unit, scale, _, cut, ref_cut, dp = ref._terms[ctx.scale]
+    # Every value sits at the context scale, so x / ref at that scale is
+    # x.significand * mult / ref_sig and unit is 10**scale, a ratio of 1.
+    # As the guard is not negative, x truncated at dp is x.significand //
+    # cut, and ref_cut is the reference truncated there.
+    scale, dp, r = ctx.scale, ctx.working_dp, ref.value
+    mult, ref_sig, unit, cut = 10 ** r.scale, r.significand, 10 ** scale, 10 ** (scale - dp)
+    ref_cut = ref_sig * 10 ** dp // 10 ** r.scale
     powers = _TEN
     # The error significand is 100 * e, for e = unit - round(x * mult /
     # ref_sig), so its cell is e rounded at 10**(scale - ERR_DP - 2) units,

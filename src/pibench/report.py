@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .fixedpoint import _TEN, _div_half_even, fx_to_string
+from .fixedpoint import fx_to_string
 from .harness import ERR_DP, TABLE_PRESETS, RunRecord
 from .methods import MethodId
 
@@ -94,35 +94,12 @@ def render_markdown(records: list[RunRecord], spec: TableSpec) -> str:
 
 
 def csv_line(r: RunRecord) -> str:
-    """One CSV row of a record, with its newline.
-
-    The value and the signed error print as fx_to_string prints them, each
-    from one half-even division of its significand; a scale below the
-    printed dp takes fx_to_string itself. Both cells are written out here,
-    not through a helper per cell, whose two calls measured about a seventh
-    of this function's time. Half-even rounding is symmetric, so the abs
-    cell is the signed one without its '-'.
-    """
-    method, n, value, signed_err, _, digits, elapsed, dp = r
-    e = value.scale - dp
-    if e < 0 or dp < 1:
-        value_cell = fx_to_string(value, dp)
-    else:
-        q = _div_half_even(value.significand, _TEN[e])
-        value_cell = str(abs(q)).zfill(dp + 1)
-        value_cell = f"{'-' if q < 0 else ''}{value_cell[:-dp]}.{value_cell[-dp:]}"
-    e = signed_err.scale - ERR_DP
-    if e < 0:
-        signed = fx_to_string(signed_err, ERR_DP)
-        absolute = signed.lstrip("-")
-    else:
-        q = _div_half_even(signed_err.significand, _TEN[e])
-        absolute = str(abs(q)).zfill(ERR_DP + 1)
-        absolute = f"{absolute[:-ERR_DP]}.{absolute[-ERR_DP:]}"
-        signed = "-" + absolute if q < 0 else absolute
+    """One CSV row of a record, with its newline: the value at the record's
+    working_dp and both errors at ERR_DP, as fx_to_string prints them."""
     return (
-        f"{method._value_},{n},{value_cell},{signed},{absolute},"
-        f"{digits},{elapsed}\n"
+        f"{r.method.value},{r.n},{fx_to_string(r.value, r.working_dp)},"
+        f"{fx_to_string(r.signed_err_pct, ERR_DP)},{fx_to_string(r.abs_err_pct, ERR_DP)},"
+        f"{r.digits_correct},{r.elapsed_ns}\n"
     )
 
 

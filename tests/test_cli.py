@@ -212,6 +212,20 @@ class TestMainExitCodes:
         assert captured.err.startswith("pibench: reference integrity: computed reference")
         assert len(captured.err.splitlines()) == 1
 
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        # A fault in pibench itself is not a usage error: it exits 4, with
+        # its traceback on stderr and nothing on stdout.
+        def broken(*args):
+            raise RuntimeError("row kernel broken")
+
+        monkeypatch.setattr(cli, "_csv_rows", broken)
+        rc = main(["run", "--method", "wallis", "--schedule", "5", "--format", "csv"])
+        assert rc == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith("RuntimeError: row kernel broken\n")
+
     def test_run_csv(self, capsys):
         assert main(["run", "--method", "wallis", "--schedule", "5,10",
                      "--dp", "15", "--format", "csv"]) == 0

@@ -148,8 +148,8 @@ def _to_print(draw, dp=None):
 @example((BigFixed(314, 2), 5), (BigFixed(1, 4), ERR_DP))  # scale < dp
 @example((BigFixed(25, 1), 0), (BigFixed(0, 9), ERR_DP))  # dp 0, zero error
 def test_csv_cells_are_fx_to_string(value, err):
-    # csv_line prints its value and error cells from one division each; they
-    # must be exactly what fx_to_string prints.
+    # csv_line's value and error cells must be exactly what fx_to_string
+    # prints, at the record's working_dp and at ERR_DP.
     (v, dp), (e, _) = value, err
     record = RunRecord(MethodId.NEWTON_ARCSINE, 7, v, e, abs(e), 3, 11, dp)
     assert csv_line(record) == (
