@@ -6,23 +6,20 @@ import argparse
 import contextlib
 import os
 import sys
-from collections.abc import Iterator
 
-from . import harness
 from .fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_parse, fx_to_string
-from .forked import ChildError, ForkedChild, can_fork
+from .forked import ChildError
 from .goldens import selftest
 from .harness import (
     PAIRINGS,
     TABLE_PRESETS,
     ReferenceIntegrityError,
-    ReferencePi,
     Schedule,
-    _csv_rows,
     compare_args,
     reference_pi,
+    rows,
 )
-from .methods import MethodId, check_index, make_state
+from .methods import MethodId, check_index
 from .report import CSV_HEADER, markdown_lines, plot_lines
 
 EXIT_OK = 0
@@ -134,7 +131,8 @@ def parse_args(argv) -> argparse.Namespace:
     """The parsed command line. For run and compare, methods, schedule, ctx
     and thresholds are converted, and checked by the library's rules, so a
     bad argument fails before any output is opened. ctx is --dp working
-    digits and the schedule's default_guard."""
+    digits and the schedule's default_guard; compare's thresholds have the
+    defaults filled in (harness.compare_args)."""
     ns = _build_parser().parse_args(argv)
     if ns.command not in ("run", "compare"):
         return ns
@@ -152,7 +150,7 @@ def parse_args(argv) -> argparse.Namespace:
         if ns.command == "run":
             check_index(ns.methods[0], ns.schedule.first)
         else:
-            compare_args(ns.methods, ns.schedule, ns.thresholds)
+            ns.methods, ns.thresholds = compare_args(ns.methods, ns.schedule, ns.thresholds)
     except ValueError as e:
         raise UsageError(str(e)) from None
     return ns
@@ -178,126 +176,36 @@ def _open_out(path: str | None):
     except BrokenPipeError:
         raise
     except OSError as e:
-        if path is None:  # so that the flush at exit does not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if path is None:
+            _stdout_to_devnull()
         raise OutputError(e.strerror or str(e)) from None
 
 
-# A run or compare over one range of at least this many points gives the
-# range's second half to a forked child (see _rows). Leibniz at --dp 15,
-# the cheapest row, costs c = 3.7-5 us a point in one process (2 vCPUs,
-# CPython 3.11). A split costs F = 2.3-2.8 ms once (fork, pipe, spill files,
-# reaping: 3.6 ms split against 1.3 ms serial at 2 points), plus 0.3 us a
-# point of catch-up in the child and 1.0-1.3 us to copy a spilled row in
-# the parent. It gains from 2F / (c - 1.3 to 1.6 us), about 2,000 points
-# (split and serial both took 9.2 ms at 2,048 points, minima of 41), and
-# this is twice that: at 4,096 points the split took 14.5 ms against
-# 16.6 ms serial.
-SPLIT_MIN_POINTS = 4096
-
-
-def _halves(schedule: Schedule) -> tuple[Schedule, Schedule | None]:
-    """(the points this process computes, the points a forked child
-    computes, or None when the schedule is not split)."""
-    halves = schedule.halves(SPLIT_MIN_POINTS) if can_fork() else None
-    return halves or (schedule, None)
-
-
-def _second_half(spills: dict, resume_at: int, tail: Schedule, ref: ReferencePi,
-                 thresholds: list) -> Iterator[list]:
-    """In the child: each method's CSV rows over tail in its spill file,
-    from a fresh state; then [method, the first n of tail below each
-    threshold]. The state is advanced to resume_at outside the clock when
-    the tail's rows would step from there (its step, the gap from
-    resume_at, is below harness.JUMP_MIN) and stepping there costs less
-    than jumping every one of them (see harness.JUMP_MIN); otherwise its
-    rows jump from n = 0, as the serial run's do, and need no register."""
-    gap = tail.first - resume_at  # tail is one range, with this step
-    points = (tail.max_n - tail.first) // gap + 1
-    for method, spill in spills.items():
-        state = make_state(method, ref.ctx)
-        if not hasattr(state, "enclosure") or (
-                gap < harness.JUMP_MIN and resume_at < harness.JUMP_MIN * points):
-            state.advance_to(resume_at)
-        crossed = [(t, None) for t in thresholds]
-        spill.writelines(_csv_rows(method, state, tail, ref.ctx, ref, crossed))
-        spill.flush()
-        yield [method.value, [n for _, n in crossed]]
-
-
-_SPLIT_WORK = "the second half of the schedule"  # what a split's child computes
-
-
-@contextlib.contextmanager
-def _rows(methods, ref: ReferencePi, crossings: dict, head: Schedule,
-          tail: Schedule | None):
-    """Each method's CSV rows over the schedule (harness._csv_rows): those
-    this process computes over head, then, when tail is given, those a
-    forked child computed over tail, with elapsed_ns continued from the
-    last row of head. A method's spilled rows are read once the child
-    reports them done, a line at a time, and its crossings in tail, if
-    crossings has any, fill those head did not cross. The child is killed
-    and reaped however this is left."""
-    ctx = ref.ctx
-    runs = {m: _csv_rows(m, make_state(m, ctx), head, ctx, ref, crossings.get(m))
-            for m in methods}
-    if tail is None:
-        yield runs
-        return
-    import tempfile  # only on this path; it costs set-up time
-
-    with contextlib.ExitStack() as stack:
-        try:
-            spills = {m: stack.enter_context(tempfile.TemporaryFile("w+")) for m in runs}
-        except OSError as e:  # EMFILE or ENOSPC, say: the child cannot start
-            raise ChildError(f"{_SPLIT_WORK} could not start its child process:"
-                             f" {e.strerror or e}") from None
-        thresholds = [t for t, _ in next(iter(crossings.values()), ())]
-        child = ForkedChild(
-            _SPLIT_WORK, lambda: _second_half(spills, head.max_n, tail, ref, thresholds))
-        stack.callback(child.close)
-        done = {}
-
-        def rows(method, lines):
-            for line in lines:
-                yield line
-            offset = int(line.rpartition(",")[2])
-            while method.value not in done:
-                name, crossed = child.receive()
-                done[name] = crossed
-            for i, n in enumerate(done[method.value]):
-                threshold, ours = crossings[method][i]
-                if ours is None:
-                    crossings[method][i] = (threshold, n)
-            spill = spills[method]
-            spill.seek(0)
-            for line in spill:
-                row, _, elapsed = line.rpartition(",")
-                yield f"{row},{int(elapsed) + offset}\n"
-
-        yield {m: rows(m, lines) for m, lines in runs.items()}
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull, so that the flush at exit does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _write_out(ns: argparse.Namespace, job, crossings: dict | None = None) -> int:
-    """The body of run, compare and table: the rows (_rows) of each of
-    job.methods over job.schedule at job.ctx, where job is the command line
-    or, for table, the table's preset. They are written in ns.fmt as they
-    are computed, keeping none: md in lockstep, in table ns.table_id's
+    """The body of run, compare and table: the rows (harness.rows) of each
+    of job.methods over job.schedule at job.ctx, where job is the command
+    line or, for table, the table's preset. They are written in ns.fmt as
+    they are computed, keeping none: md in lockstep, in table ns.table_id's
     layout or the generic one; csv and plot one method after another. Then
     the crossings, if any. The reference is built before --out is opened,
     so that exit 2 leaves it alone."""
-    head, tail = _halves(job.schedule)
     ref = reference_pi(job.ctx)
-    crossings = crossings or {}
-    with _open_out(ns.out) as out, _rows(job.methods, ref, crossings, head, tail) as rows:
+    with _open_out(ns.out) as out, rows(job.methods, job.schedule, ref, crossings) as runs:
         if ns.fmt == "csv":
             out.write(CSV_HEADER + "\n")
-            for method_rows in rows.values():
+            for method_rows in runs.values():
                 out.writelines(method_rows)
         elif ns.fmt == "plot":
-            out.writelines(plot_lines(rows))
+            out.writelines(plot_lines(runs))
         else:
-            out.writelines(markdown_lines(rows, ns.table_id))
+            out.writelines(markdown_lines(runs, ns.table_id))
         if crossings:
             out.write("# crossover: first sampled n with abs error below threshold\n")
             for m, crossed in crossings.items():
@@ -312,8 +220,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    methods, thresholds = compare_args(ns.methods, ns.schedule, ns.thresholds)
-    return _write_out(ns, ns, {m: [(t, None) for t in thresholds] for m in methods})
+    return _write_out(ns, ns, {m: [(t, None) for t in ns.thresholds] for m in ns.methods})
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
@@ -343,10 +250,8 @@ def main(argv=None) -> int:
     except OutputError as e:
         print(f"pibench: cannot write output: {e}", file=sys.stderr)
         return EXIT_OUTPUT
-    except BrokenPipeError:
-        # The reader closed stdout early (`pibench run ... | head`). Point
-        # stdout at devnull so that the flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout early (`pibench run ... | head`)
+        _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
     except Exception:  # a fault in pibench, not in its input: not a usage error
         import traceback  # only on this path; it costs set-up time

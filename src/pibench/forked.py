@@ -1,7 +1,8 @@
 """Forked child processes: when one may run, and how it reports back.
 
-run and compare give the second half of a long schedule to one, through
-ForkedChild.
+harness.rows, the one source of printed rows, gives the second half of a
+long run or compare schedule to one through ForkedChild, where can_fork
+allows it.
 """
 
 from __future__ import annotations

@@ -23,21 +23,10 @@ from functools import lru_cache
 from importlib import resources
 
 from . import report
-from .fixedpoint import (
-    BigFixed,
-    PrecisionCtx,
-    fx_sqrt,
-)
-from .harness import (
-    TABLE_PRESETS,
-    _csv_rows,
-    reference_pi,
-)
-from .methods import (
-    MethodId,
-    euler_cf_convergent,
-    make_state,
-)
+from .fixedpoint import BigFixed, PrecisionCtx, fx_sqrt
+from .harness import TABLE_PRESETS, reference_pi, rows
+from .methods import (LeibnizState, MethodId, NewtonArcsineState, VieteState, WallisState,
+                      ZetaState, euler_cf_convergent)
 
 
 @lru_cache(maxsize=1)
@@ -66,14 +55,8 @@ def _quick_invariants() -> list:
     ctx = PrecisionCtx(40, 12)
     ref = reference_pi(ctx)
 
-    for method in (
-        MethodId.WALLIS,
-        MethodId.NEWTON_ARCSINE,
-        MethodId.VIETE,
-        MethodId.ZETA2,
-        MethodId.ZETA8,
-    ):
-        state = make_state(method, ctx)
+    for state in (WallisState(ctx), NewtonArcsineState(ctx), VieteState(ctx),
+                  ZetaState(ctx, MethodId.ZETA2), ZetaState(ctx, MethodId.ZETA8)):
         state.step()
         prev = state.value()
         for _ in range(30):
@@ -81,7 +64,7 @@ def _quick_invariants() -> list:
             cur = state.value()
             if not (prev < cur < ref.value):
                 failures.append(
-                    f"INVARIANT FAIL: {method.value} not strictly increasing"
+                    f"INVARIANT FAIL: {state.method.value} not strictly increasing"
                     f" below the reference at n={state.n}"
                 )
                 break
@@ -89,7 +72,7 @@ def _quick_invariants() -> list:
 
     # Partial sums overshoot the reference at even n (the leading +4
     # term dominates) and undershoot at odd n.
-    state = make_state(MethodId.LEIBNIZ, ctx)
+    state = LeibnizState(ctx)
     for n in range(1, 51):
         state.step()
         if (state.value() > ref.value) != (n % 2 == 0):
@@ -120,16 +103,15 @@ def _audit_table(tid: int, table: dict) -> tuple[list, int, int]:
     flag for each method with a divergent cell: a column of that cell is
     divergent iff the flag holds recomputed_<column>. The preset says which
     methods and columns the table has. A computed cell is the field of its
-    CSV row (harness._csv_rows) that `pibench table --id tid` prints.
+    CSV row (harness.rows) that `pibench table --id tid` prints.
     """
     preset = TABLE_PRESETS[tid]
-    ctx = preset.ctx
-    ref = reference_pi(ctx)
     printed = {}
-    for m in preset.methods:
-        for line in _csv_rows(m, make_state(m, ctx), preset.schedule, ctx, ref):
-            fields = line.split(",", 5)
-            printed[m, int(fields[1])] = fields
+    with rows(preset.methods, preset.schedule, reference_pi(preset.ctx)) as runs:
+        for m, lines in runs.items():
+            for line in lines:
+                fields = line.split(",", 5)
+                printed[m, int(fields[1])] = fields
     lines = []
     divergent = bad = 0
     for row in table["rows"]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -348,28 +349,22 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
 JUMP_MIN = 512
 
 
-def _csv_rows(
-    method: MethodId,
-    state,
-    schedule: Schedule,
-    ctx: PrecisionCtx,
-    ref: ReferencePi,
-    crossed: list | None = None,
-) -> Iterator[str]:
-    """The CSV row (report.csv_line) of each record that _records(method,
-    state, schedule, ctx, ref) would yield, with elapsed_ns by the same
-    clock; crossed, when given, is filled as _crossing fills it. Each row
-    is built from the value's significand by row_of, with no record and no
-    error BigFixed.
+def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
+              crossed: list | None = None) -> Iterator[str]:
+    """The CSV row (report.csv_line) of each record that
+    _records(state.method, state, schedule, ref.ctx, ref) would yield, with
+    elapsed_ns by the same clock; crossed, when given, is filled as
+    _crossing fills it. Each row is built from the value's significand by
+    row_of, with no record and no error BigFixed.
 
     It relies on what every CLI context has: a scale of dp + guard with
     guard >= 10 (default_guard), and a positive value. So one divmod of the
     significand by 10**guard gives both the truncation digits_correct
     compares and the half-even value cell, and the error cell is one
-    half-even division by 10**(scale - ERR_DP). ref must be for ctx; the
-    integers read from it are derived once per call from ref.value at its
-    own scale, so the kernel shares no arithmetic with pct_error and
-    digits_correct, the reference its rows are tested against.
+    half-even division by 10**(scale - ERR_DP). The integers read from ref
+    are derived once per call from ref.value at its own scale, so the
+    kernel shares no arithmetic with pct_error and digits_correct, the
+    reference its rows are tested against.
 
     A sample far enough past the state's n (JUMP_MIN), when the state has
     an enclosure (lo, hi) of the register it would hold there, is printed
@@ -387,7 +382,7 @@ def _csv_rows(
     # x.significand * mult / ref_sig and unit is 10**scale, a ratio of 1.
     # As the guard is not negative, x truncated at dp is x.significand //
     # cut, and ref_cut is the reference truncated there.
-    scale, dp, r = ctx.scale, ctx.working_dp, ref.value
+    scale, dp, r = ref.ctx.scale, ref.ctx.working_dp, ref.value
     mult, ref_sig, unit, cut = 10 ** r.scale, r.significand, 10 ** scale, 10 ** (scale - dp)
     ref_cut = ref_sig * 10 ** dp // 10 ** r.scale
     powers = _TEN
@@ -400,7 +395,7 @@ def _csv_rows(
     bounds = [(100 * 10 ** max(t.scale - scale, 0),
                t.significand * 10 ** max(scale - t.scale, 0)) for t, _ in crossed or ()]
     crossing, count = 0, len(bounds)
-    prefix = f"{method.value},"
+    prefix = f"{state.method.value},"
 
     def row_of(n: int, sig: int, sampled: int) -> tuple[str, int]:
         """(the row at n of a value whose significand is sig, e)."""
@@ -468,6 +463,96 @@ def _csv_rows(
         elapsed += clock() - start
         yield row
         start = clock()
+
+
+# A one-range schedule of at least this many points gives its second half
+# to a forked child (see rows). Leibniz at --dp 15, the cheapest row, costs
+# c = 3.7-5 us a point in one process (2 vCPUs, CPython 3.11). A split costs
+# F = 2.3-2.8 ms once (fork, pipe, spill files, reaping: 3.6 ms split
+# against 1.3 ms serial at 2 points), plus 0.3 us a point of catch-up in the
+# child and 1.0-1.3 us to copy a spilled row in the parent. It gains from
+# 2F / (c - 1.3 to 1.6 us), about 2,000 points (split and serial both took
+# 9.2 ms at 2,048 points, minima of 41), and this is twice that: at 4,096
+# points the split took 14.5 ms against 16.6 ms serial.
+SPLIT_MIN_POINTS = 4096
+
+_SPLIT_WORK = "the second half of the schedule"  # what a split's child computes
+
+
+def _second_half(spills: dict, resume_at: int, tail: Schedule, ref: ReferencePi,
+                 thresholds: list) -> Iterator[list]:
+    """In the child: each method's CSV rows over tail in its spill file,
+    from a fresh state; then [method, the first n of tail below each
+    threshold]. The state is advanced to resume_at outside the clock when
+    the tail's rows would step from there (its step, the gap from
+    resume_at, is below JUMP_MIN) and stepping there costs less than
+    jumping every one of them (see JUMP_MIN); otherwise its rows jump from
+    n = 0, as the serial run's do, and need no register."""
+    gap = tail.first - resume_at  # tail is one range, with this step
+    points = (tail.max_n - tail.first) // gap + 1
+    for method, spill in spills.items():
+        state = make_state(method, ref.ctx)
+        if not hasattr(state, "enclosure") or (
+                gap < JUMP_MIN and resume_at < JUMP_MIN * points):
+            state.advance_to(resume_at)
+        crossed = [(t, None) for t in thresholds]
+        spill.writelines(_csv_rows(state, tail, ref, crossed))
+        spill.flush()
+        yield [method.value, [n for _, n in crossed]]
+
+
+@contextlib.contextmanager
+def rows(methods, schedule: Schedule, ref: ReferencePi, crossings: dict | None = None):
+    """{method: an iterator of its CSV rows over schedule at ref.ctx}
+    (_csv_rows), each computed as it is taken; crossings[method], if given,
+    is filled as _csv_rows fills crossed. Where a forked child can run
+    beside this process (forked.can_fork), a one-range schedule of
+    SPLIT_MIN_POINTS points or more is split at its median, and one child
+    computes the rows after it (_second_half). A method's spilled rows
+    follow its own once the child reports them done, a line at a time, with
+    elapsed_ns continued from its last row; its crossings fill those the
+    first half did not cross. The child is killed and reaped however this
+    is left; ChildError if it fails or cannot start."""
+    from .forked import ChildError, ForkedChild, can_fork  # not at import: it loads json
+
+    crossings = crossings or {}
+    head, tail = (schedule.halves(SPLIT_MIN_POINTS) if can_fork() else None) or (schedule, None)
+    runs = {m: _csv_rows(make_state(m, ref.ctx), head, ref, crossings.get(m)) for m in methods}
+    if tail is None:
+        yield runs
+        return
+    import tempfile  # only on this path; it costs set-up time
+
+    with contextlib.ExitStack() as stack:
+        try:
+            spills = {m: stack.enter_context(tempfile.TemporaryFile("w+")) for m in runs}
+        except OSError as e:  # EMFILE or ENOSPC, say: the child cannot start
+            raise ChildError(f"{_SPLIT_WORK} could not start its child process:"
+                             f" {e.strerror or e}") from None
+        thresholds = [t for t, _ in next(iter(crossings.values()), ())]
+        child = ForkedChild(
+            _SPLIT_WORK, lambda: _second_half(spills, head.max_n, tail, ref, thresholds))
+        stack.callback(child.close)
+        done = {}
+
+        def joined(method, lines):
+            for line in lines:
+                yield line
+            offset = int(line.rpartition(",")[2])
+            while method.value not in done:
+                name, crossed = child.receive()
+                done[name] = crossed
+            for i, n in enumerate(done[method.value]):
+                threshold, ours = crossings[method][i]
+                if ours is None:
+                    crossings[method][i] = (threshold, n)
+            spill = spills[method]
+            spill.seek(0)
+            for line in spill:
+                row, _, elapsed = line.rpartition(",")
+                yield f"{row},{int(elapsed) + offset}\n"
+
+        yield {m: joined(m, lines) for m, lines in runs.items()}
 
 
 # The published tables: the one registry of their methods, schedules,

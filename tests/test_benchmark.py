@@ -1,9 +1,9 @@
 """The benchmark's contract with the program (reads perfbench/ and
 BENCHMARK.json only).
 
-The traced reproduce run calls `pibench selftest` and the library's record
-path in the benchmark's own process, so a change to either can break it
-while every other test passes.
+The traced runs call `pibench selftest`, the library's record path and,
+for long-schedule, a split run in the benchmark's own process, so a change
+to any of them can break a run while every other test passes.
 """
 
 import json
@@ -17,9 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.skipif(not (ROOT / "perfbench").is_dir(), reason="perfbench/ is absent")
-def test_traced_reproduce_ends_in_a_result():
+@pytest.mark.parametrize("workload", ["reproduce", "hiprec-dense", "long-schedule"])
+def test_traced_run_ends_in_a_result(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "reproduce", "--trace", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1",
          "--seed", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -218,7 +219,7 @@ class TestMainExitCodes:
         def broken(*args):
             raise RuntimeError("row kernel broken")
 
-        monkeypatch.setattr(cli, "_csv_rows", broken)
+        monkeypatch.setattr(harness, "_csv_rows", broken)
         rc = main(["run", "--method", "wallis", "--schedule", "5", "--format", "csv"])
         assert rc == cli.EXIT_INTERNAL == 4
         captured = capsys.readouterr()
@@ -315,7 +316,7 @@ class TestMainExitCodes:
         def no_rows(*args, **kwargs):
             pytest.fail("a method ran although --out cannot be written")
 
-        monkeypatch.setattr(cli, "_csv_rows", no_rows)
+        monkeypatch.setattr(harness, "_csv_rows", no_rows)
         path = tmp_path / "missing" / "x.csv"
         assert main(["run", "--method", "wallis", "--schedule", "5",
                      "--format", "csv", "--out", str(path)]) == 1
@@ -506,7 +507,7 @@ class TestSplit:
         assert main(argv) == 0
         split = capsys.readouterr().out
         assert len(forks) == 1
-        monkeypatch.setattr(cli, "can_fork", lambda: False)
+        monkeypatch.setattr(forked, "can_fork", lambda: False)
         assert main(argv) == 0
         serial = capsys.readouterr().out
         assert len(forks) == 1
@@ -562,13 +563,13 @@ class TestSplit:
         ctx = PrecisionCtx(15, default_guard(points[-1]))
         ref = harness.reference_pi(ctx)
         spill = io.StringIO()
-        done = list(cli._second_half({MethodId.WALLIS: spill}, head.max_n, tail, ref, []))
+        done = list(harness._second_half({MethodId.WALLIS: spill}, head.max_n, tail, ref, []))
         assert done == [["wallis", []]]
         assert (head.max_n in targets) is caught_up
         # Jumps step only to the anchor where a context's closed form is
         # checked once, 2w + 1 for w = scale + 10.
         assert (max(targets, default=0) > 2 * (ctx.scale + 10) + 1) is caught_up
-        serial = harness._csv_rows(MethodId.WALLIS, WallisState(ctx), Schedule(points), ctx, ref)
+        serial = harness._csv_rows(WallisState(ctx), Schedule(points), ref)
         expected = [row for row in serial if int(row.split(",")[1]) > head.max_n]
         assert _without_elapsed(spill.getvalue()) == _without_elapsed("".join(expected))
 
@@ -580,7 +581,7 @@ class TestSplit:
         assert forks == []
 
     def test_below_the_split_points_runs_serially(self, forks, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "SPLIT_MIN_POINTS", 301)
+        monkeypatch.setattr(harness, "SPLIT_MIN_POINTS", 301)
         assert main(["run", "--method", "leibniz", "--schedule", "0:299:1"]) == 0
         assert forks == []
         assert main(["run", "--method", "leibniz", "--schedule", "0:300:1"]) == 0
@@ -591,7 +592,7 @@ class TestSplit:
         def broken(*args):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "_second_half", broken)
+        monkeypatch.setattr(harness, "_second_half", broken)
         assert main(["run", "--method", "leibniz", "--schedule", "0:300:1",
                      "--format", "csv"]) == cli.EXIT_INTERNAL == 4
         out, err = capsys.readouterr()
@@ -687,6 +688,61 @@ def test_failed_spill_exit_4(command, spills, monkeypatch, capsys):
     assert _open_fds() == before
 
 
+@pytest.mark.parametrize("stdout, code", [
+    ("closed pipe", EXIT_BROKEN_PIPE),
+    pytest.param("/dev/full", cli.EXIT_OUTPUT, marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+], ids=["closed-pipe", "full-disk"])
+def test_failed_stdout_leaves_no_fd_open(stdout, code, monkeypatch, capsys):
+    # Stdout is pointed at devnull, so that the flush at exit does not fail
+    # again, and the fd opened on devnull for that is closed.
+    if stdout == "closed pipe":
+        read_fd, fd = os.pipe()
+        os.close(read_fd)
+    else:
+        fd = os.open(stdout, os.O_WRONLY)
+    with open(fd, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        before = _open_fds()
+        assert main(["run", "--method", "leibniz", "--schedule", "0:100:1",
+                     "--format", "csv"]) == code
+        after = _open_fds()
+        monkeypatch.setattr(sys, "stdout", sys.__stdout__)
+    assert after == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("blocker", ["one-cpu", "thread"])
+def test_no_child_on_one_cpu_or_beside_a_thread(blocker, monkeypatch, capsys):
+    # A 4,096-point run splits where a forked child can run beside this
+    # process. With one usable CPU, or while another thread runs, it starts
+    # no child and prints the serial bytes.
+    if blocker == "one-cpu" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs os.sched_setaffinity")
+    argv = ["run", "--method", "leibniz", "--schedule", "1:4096:1", "--format", "csv"]
+    assert Schedule(range(1, 4097)).halves(harness.SPLIT_MIN_POINTS)
+    with monkeypatch.context() as serial_only:
+        serial_only.setattr(forked, "can_fork", lambda: False)
+        assert main(argv) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a child was started"))
+    with contextlib.ExitStack() as stack:
+        if blocker == "one-cpu":
+            cpus = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(cpus)})
+            stack.callback(os.sched_setaffinity, 0, cpus)
+        else:
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            stack.callback(thread.join, 10)
+            stack.callback(stop.set)
+        assert main(argv) == 0
+    assert blocker == "one-cpu" or not thread.is_alive()
+    assert _without_elapsed(capsys.readouterr().out) == _without_elapsed(serial)
+    assert len(serial.splitlines()) == 4097
+
+
 def _no_fds(*args):
     raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
@@ -755,15 +811,15 @@ def _take_path(monkeypatch, split: bool) -> None:
     """Make run and compare split every one-range schedule of two or more
     points, or none. A split child stops tracemalloc, which would only slow
     it: a traced peak is the parent's."""
-    monkeypatch.setattr(cli, "can_fork", lambda: split)
-    monkeypatch.setattr(cli, "SPLIT_MIN_POINTS", 2)
-    second_half = cli._second_half
+    monkeypatch.setattr(forked, "can_fork", lambda: split)
+    monkeypatch.setattr(harness, "SPLIT_MIN_POINTS", 2)
+    second_half = harness._second_half
 
     def untraced_second_half(*args):
         tracemalloc.stop()
         return second_half(*args)
 
-    monkeypatch.setattr(cli, "_second_half", untraced_second_half)
+    monkeypatch.setattr(harness, "_second_half", untraced_second_half)
 
 
 def _traced_peaks(argv, sizes) -> dict:
@@ -901,14 +957,13 @@ class TestSelftestCommand:
         # a row printed wrong is a mismatch although the value is right.
         real_rows = harness._csv_rows
 
-        def csv_rows(method, *args):
-            for line in real_rows(method, *args):
+        def csv_rows(*args):
+            for line in real_rows(*args):
                 if line.startswith("wallis,5,"):
                     line = line.replace(",3.002175954556907,", ",3.002175954556908,")
                 yield line
 
-        monkeypatch.setattr(goldens, "_csv_rows", csv_rows)
-        monkeypatch.setattr(cli, "_csv_rows", csv_rows)
+        monkeypatch.setattr(harness, "_csv_rows", csv_rows)
         assert main(["table", "--id", "1"]) == 0
         assert "| 5 | 3.002175954556908 |" in capsys.readouterr().out
         assert main(["selftest"]) == cli.EXIT_MISMATCH == 3

@@ -508,6 +508,8 @@ class _Registers(ApproximantState):
     """A state whose value at n is the n-th of the given significands at
     the context scale."""
 
+    method = MethodId.WALLIS
+
     def __init__(self, ctx, significands):
         super().__init__(ctx)
         self._significands = significands
@@ -607,7 +609,7 @@ class TestCsvRows:
         method, schedule, ref, thresholds = case
         ctx = ref.ctx
         crossed = [(t, None) for t in thresholds]
-        rows = _csv_rows(method, make_state(method, ctx), schedule, ctx, ref, crossed)
+        rows = _csv_rows(make_state(method, ctx), schedule, ref, crossed)
         records = _records(method, make_state(method, ctx), schedule, ctx, ref)
         assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
         other = MethodId.LEIBNIZ if method != MethodId.LEIBNIZ else MethodId.NEWTON_ARCSINE
@@ -621,7 +623,7 @@ class TestCsvRows:
     def test_ties_and_carries(self, case):
         ref, significands = case
         ctx, schedule = ref.ctx, Schedule(range(len(significands)))
-        rows = _csv_rows(MethodId.WALLIS, _Registers(ctx, significands), schedule, ctx, ref)
+        rows = _csv_rows(_Registers(ctx, significands), schedule, ref)
         records = _records(MethodId.WALLIS, _Registers(ctx, significands), schedule, ctx, ref)
         assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
 
@@ -632,8 +634,7 @@ class TestCsvRows:
         schedule = Schedule(range(1, 11))
         at_5 = [r.abs_err_pct for r in run(MethodId.WALLIS, schedule, ref.ctx, ref)][4]
         crossed = [(at_5, None)]
-        list(_csv_rows(MethodId.WALLIS, make_state(MethodId.WALLIS, ref.ctx), schedule,
-                       ref.ctx, ref, crossed))
+        list(_csv_rows(make_state(MethodId.WALLIS, ref.ctx), schedule, ref, crossed))
         assert crossed == [(at_5, 6)]
 
     @given(_jump_cases())
@@ -654,8 +655,7 @@ class TestCsvRows:
         thresholds = {threshold, records[pick].abs_err_pct} - {BigFixed(0)}
         thresholds = sorted(thresholds, reverse=True)
         crossed = [(t, None) for t in thresholds]
-        rows = _csv_rows(method, _widened(make_state(method, ctx), widen), schedule, ctx, ref,
-                         crossed)
+        rows = _csv_rows(_widened(make_state(method, ctx), widen), schedule, ref, crossed)
         assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
         expected = [(t, None) for t in thresholds]
         for _ in _crossing(iter(records), expected):
@@ -671,7 +671,7 @@ class TestCsvRows:
         monkeypatch.setattr(state, "advance_to", lambda n: targets.append(n) or real_advance(n))
         assert JUMP_MIN == 512
         schedule = Schedule(range(5000, 5020))
-        rows = _csv_rows(MethodId.LEIBNIZ, state, schedule, ctx15, ref15)
+        rows = _csv_rows(state, schedule, ref15)
         records = _records(MethodId.LEIBNIZ, make_state(MethodId.LEIBNIZ, ctx15), schedule,
                            ctx15, ref15)
         assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
@@ -696,7 +696,7 @@ class TestCsvRows:
             assert make_state(method, ctx).enclosure(1000) is None
             schedule = Schedule((100, 1000, 20000))
             state = make_state(method, ctx)
-            rows = list(_csv_rows(method, state, schedule, ctx, ref))
+            rows = list(_csv_rows(state, schedule, ref))
             records = _records(method, make_state(method, ctx), schedule, ctx, ref)
             assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
             assert state.n == 20000
@@ -705,8 +705,8 @@ class TestCsvRows:
 
     def test_elapsed_leaves_out_consumer_time(self, ctx15, ref15):
         elapsed = [0]
-        for row in _csv_rows(MethodId.LEIBNIZ, make_state(MethodId.LEIBNIZ, ctx15),
-                             Schedule((1, 2, 3, 4, 5)), ctx15, ref15):
+        for row in _csv_rows(make_state(MethodId.LEIBNIZ, ctx15), Schedule((1, 2, 3, 4, 5)),
+                             ref15):
             elapsed.append(int(row.rsplit(",", 1)[1]))
             time.sleep(0.02)
         steps = [b - a for a, b in zip(elapsed, elapsed[1:])]

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-import pibench.cli as cli
+import pibench.forked as forked
+import pibench.harness as harness
 from pibench.cli import main
 from pibench.report import TableSpec, render_markdown
 
@@ -50,8 +51,8 @@ def test_hiprec_compare_digest_split(capsys, monkeypatch):
     # The same compare with its second half, n = 201-400, computed by a
     # forked child: the child's Viete and Euler CF states are advanced to
     # n = 200 by advance_to, and every row must come out the same.
-    monkeypatch.setattr(cli, "can_fork", lambda: True)
-    monkeypatch.setattr(cli, "SPLIT_MIN_POINTS", 400)
+    monkeypatch.setattr(forked, "can_fork", lambda: True)
+    monkeypatch.setattr(harness, "SPLIT_MIN_POINTS", 400)
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
