@@ -119,7 +119,10 @@ def _build_parser() -> _Parser:
 
     # The options several commands share, each declared once.
     for cmd in (runp, cmp_):
-        cmd.add_argument("--dp", type=int, default=15)
+        cmd.add_argument("--dp", type=int, default=15, help=(
+            "decimal places of each value, from 1 to this Python's limit on the"
+            " digits of an int converted to a string, sys.get_int_max_str_digits()"
+            " (4300 unless set; 0 means no limit)"))
         cmd.add_argument("--format", dest="fmt", choices=("md", "csv", "plot"), default="md")
         cmd.set_defaults(table_id=None)  # md in the generic layout
     for cmd in (runp, cmp_, tab):
@@ -142,6 +145,12 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError("run takes exactly one --method")
     if ns.command == "compare" and ns.thresholds is not None:
         ns.thresholds = tuple(map(parse_decimal_exp, ns.thresholds.split(",")))
+    # A value cell prints --dp digits of one int. 0 is no limit, as on
+    # Python before 3.10.7, which has no get_int_max_str_digits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and ns.dp > limit:
+        raise UsageError(f"bad --dp {ns.dp}: more than {limit} digits, the limit of this"
+                         " Python's int-to-string conversion (sys.get_int_max_str_digits())")
     try:
         ns.ctx = PrecisionCtx(ns.dp, default_guard(ns.schedule.max_n))
     except ValueError as e:  # the guard is derived, so the rule broken is --dp's

@@ -31,21 +31,6 @@ def _div_half_even(num: int, den: int) -> int:
     return q
 
 
-class _PowersOfTen(dict):
-    """e -> 10**e, each computed on its first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, e: int) -> int:
-        p = self[e] = 10 ** e
-        return p
-
-
-# The powers of ten the row kernel (harness._csv_rows, their only user)
-# walks to count correct digits, each computed once per process, not per run.
-_TEN = _PowersOfTen()
-
-
 def _isqrt_nearest(n: int) -> int:
     """Nearest integer to sqrt(n), n >= 0: floor(2 sqrt(n)) halved, rounded
     up. No integer n has sqrt(n) = k + 1/2, so there is no tie."""
@@ -105,10 +90,8 @@ def default_guard(max_n: int) -> int:
     10 + ceil(log10(max_n)) bounds the drift of up to max_n sequential
     half-even roundings well below the working digits.
     """
-    if max_n < 1:
-        max_n = 1
-    d = len(str(max_n)) - 1
-    if 10 ** d < max_n:
+    d = 0  # ceil(log10(max_n)), 0 for max_n <= 1
+    while 10 ** d < max_n:
         d += 1
     return 10 + d
 

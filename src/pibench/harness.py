@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import contextlib
 import time
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
-    _TEN,
     _div_half_even,
     default_guard,
     fx_parse,
@@ -71,7 +72,7 @@ def reference_pi(ctx: PrecisionCtx) -> ReferencePi:
     n_x <= s / (2 log10 x) + 1/2, that is n_5 <= 0.716 s + 1/2 and
     n_239 <= 0.211 s + 1/2, the error is under 12.3 s + 30 u. With
 
-        s = max(c, 15) + len(str(20 c)) + 1,
+        s = max(c, 15) + e + 1, e the digits of 20 c (10^e > 20 c >= 10^(e-1)),
 
     10^(s - c - 1) > 20 c >= 12.3 s + 30 for every c >= 15, so the sum is
     within 0.1 ulp of pi at scale c; for c < 15, s is 18 or 19 and the
@@ -80,7 +81,10 @@ def reference_pi(ctx: PrecisionCtx) -> ReferencePi:
     1000 with 0-15 guard digits. The sums at s = 18 and 19 are 13.5 u above
     and 12.6 u below pi, well inside the 15-digit check.
     """
-    s = max(ctx.scale, 15) + len(str(20 * ctx.scale)) + 1
+    e = 1
+    while 10 ** e <= 20 * ctx.scale:
+        e += 1
+    s = max(ctx.scale, 15) + e + 1
     one = 10 ** s
     pi = BigFixed(16 * _atan_inv(5, one) - 4 * _atan_inv(239, one), s)
     got = fx_truncate_string(pi, 15)
@@ -349,22 +353,50 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
 JUMP_MIN = 512
 
 
+@lru_cache(maxsize=1)  # the runs of a compare share one reference
+def _truncation_bounds(ref_cut: int, dp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lows, highs) such that the correct digits (digits_correct) of a
+    value truncated at dp digits to t, against the reference truncated
+    there to ref_cut, are bisect_right(lows, t) at t <= ref_cut and dp -
+    bisect_right(highs, t) above it.
+
+    t agrees with ref_cut in its integer part and first j fractional digits
+    when L_j <= t < L_j + 10**(dp - j), L_j being ref_cut with its last
+    dp - j digits zeroed. L_j rises with j and the upper end falls, so lows
+    lists L_1..L_dp and highs the upper ends, both ascending. They are built
+    a digit at a time, j = dp down to 1, in time quadratic in dp: 34 ms at
+    4,300 digits, where a division per j takes 0.54 s (2 vCPUs, CPython
+    3.11).
+    """
+    lows, highs, place, tail, head = [], [], 1, 0, ref_cut  # place 10**(dp - j)
+    for _ in range(dp):
+        lows.append(ref_cut - tail)
+        highs.append(ref_cut - tail + place)
+        head, digit = divmod(head, 10)
+        tail, place = tail + digit * place, place * 10
+    return tuple(reversed(lows)), tuple(highs)
+
+
 def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
               crossed: list | None = None) -> Iterator[str]:
     """The CSV row (report.csv_line) of each record that
     _records(state.method, state, schedule, ref.ctx, ref) would yield, with
     elapsed_ns by the same clock; crossed, when given, is filled as
-    _crossing fills it. Each row is built from the value's significand by
-    row_of, with no record and no error BigFixed.
+    _crossing fills it. Each row is built by row_of from the integer
+    state.significand() returns, with no record and no BigFixed.
 
     It relies on what every CLI context has: a scale of dp + guard with
     guard >= 10 (default_guard), and a positive value. So one divmod of the
     significand by 10**guard gives both the truncation digits_correct
     compares and the half-even value cell, and the error cell is one
-    half-even division by 10**(scale - ERR_DP). The integers read from ref
-    are derived once per call from ref.value at its own scale, so the
-    kernel shares no arithmetic with pct_error and digits_correct, the
-    reference its rows are tested against.
+    half-even division by 10**(scale - ERR_DP). The correct digits are one
+    bisection of the truncation into the bounds of the truncations that
+    share the reference's first 1..dp digits (_truncation_bounds). The
+    integers read from ref are derived once per call from ref.value at its
+    own scale, and those bounds once per reference, so the kernel shares no
+    arithmetic with pct_error and digits_correct, the reference its rows
+    are tested against. The value cell's fraction, dp digits, is the widest
+    int a row converts to a string.
 
     A sample far enough past the state's n (JUMP_MIN), when the state has
     an enclosure (lo, hi) of the register it would hold there, is printed
@@ -385,7 +417,7 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
     scale, dp, r = ref.ctx.scale, ref.ctx.working_dp, ref.value
     mult, ref_sig, unit, cut = 10 ** r.scale, r.significand, 10 ** scale, 10 ** (scale - dp)
     ref_cut = ref_sig * 10 ** dp // 10 ** r.scale
-    powers = _TEN
+    lows, highs = _truncation_bounds(ref_cut, dp)
     # The error significand is 100 * e, for e = unit - round(x * mult /
     # ref_sig), so its cell is e rounded at 10**(scale - ERR_DP - 2) units,
     # and abs error < threshold t is |e| * a < b with these a and b.
@@ -400,13 +432,10 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
     def row_of(n: int, sig: int, sampled: int) -> tuple[str, int]:
         """(the row at n of a value whose significand is sig, e)."""
         truncated, rest = divmod(sig, cut)
-        if truncated == ref_cut:
-            digits = dp
-        else:  # the fewest trailing digits to cut, carries included
-            k = len(str(abs(truncated - ref_cut)))
-            while k <= dp and truncated // powers[k] != ref_cut // powers[k]:
-                k += 1
-            digits = dp - k if k < dp else 0
+        if truncated <= ref_cut:
+            digits = bisect_right(lows, truncated)
+        else:
+            digits = dp - bisect_right(highs, truncated)
         if rest > half_cut or (rest == half_cut and truncated & 1):
             truncated += 1
         value = value_format % divmod(truncated, value_one)
@@ -444,14 +473,14 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
     enclosure = getattr(state, "enclosure", None)
     jump_min = JUMP_MIN if enclosure else float("inf")
     jump_at = state.n + jump_min  # the first n far enough to jump to
-    advance_to, value_of, clock = state.advance_to, state.value, time.perf_counter_ns
+    advance_to, significand, clock = state.advance_to, state.significand, time.perf_counter_ns
     elapsed = 0
     start = clock()
     for n in schedule:
         sig = certified(n) if n >= jump_at else None
         if sig is None:
             advance_to(n)
-            sig = value_of().significand
+            sig = significand()
             jump_at = n + jump_min
         else:
             jump_at += jump_min
@@ -466,14 +495,15 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
 
 
 # A one-range schedule of at least this many points gives its second half
-# to a forked child (see rows). Leibniz at --dp 15, the cheapest row, costs
-# c = 3.7-5 us a point in one process (2 vCPUs, CPython 3.11). A split costs
-# F = 2.3-2.8 ms once (fork, pipe, spill files, reaping: 3.6 ms split
-# against 1.3 ms serial at 2 points), plus 0.3 us a point of catch-up in the
-# child and 1.0-1.3 us to copy a spilled row in the parent. It gains from
-# 2F / (c - 1.3 to 1.6 us), about 2,000 points (split and serial both took
-# 9.2 ms at 2,048 points, minima of 41), and this is twice that: at 4,096
-# points the split took 14.5 ms against 16.6 ms serial.
+# to a forked child (see rows). The parent then computes no row of that
+# half, c = 3-3.5 us each for Leibniz at --dp 15, the cheapest row (2
+# vCPUs, CPython 3.11), but pays F once (fork, pipe, spill files, reaping:
+# 6.2 ms split against 2.1 ms serial at 2 points, minima of 41) and copies
+# each spilled row, 1.0-1.5 us; the child also steps 0.3 us a point to
+# catch up. So a split gains from 2F / (c - copy) points, about 3,000: over
+# 101 alternating pairs of `run --format csv` in one process, split and
+# serial, the split was faster in 45 at 2,048 and at 3,072 points, and in
+# 87 at 4,096 (medians 25.8 against 30.9 ms).
 SPLIT_MIN_POINTS = 4096
 
 _SPLIT_WORK = "the second half of the schedule"  # what a split's child computes

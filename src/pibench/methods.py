@@ -2,10 +2,10 @@
 
 Each generator keeps its accumulators as raw scaled integers (value =
 register * 10**-scale) so that a step is a handful of integer ops with a
-single half-even rounding; BigFixed objects are only materialized when a
-value is read. Re-running a fresh generator to the same index reproduces
-the same bits, so approximant(method, n, ctx) and a resumed state are
-interchangeable.
+single half-even rounding. significand() reads the value as an integer at
+the context scale, and value() wraps that integer in a BigFixed. Re-running
+a fresh generator to the same index reproduces the same bits, so
+approximant(method, n, ctx) and a resumed state are interchangeable.
 
 Index conventions:
   wallis   n >= 1  product upper bound, 2 * prod_{k=1..n} (2k/(2k-1))(2k/(2k+1))
@@ -72,7 +72,8 @@ ZETA_METHODS = tuple(ZETA_PARAMS)
 
 
 class ApproximantState:
-    """n plus integer registers; subclasses define advance_to(target)."""
+    """n plus integer registers; subclasses define advance_to(target),
+    significand() and value()."""
 
     method: MethodId
     min_index = 1  # smallest n at which value() is defined
@@ -84,6 +85,13 @@ class ApproximantState:
     def step(self) -> None:
         self.advance_to(self.n + 1)
 
+    def significand(self) -> int:
+        """The value at n as an integer at the context scale: value() is
+        that integer times 10**-scale. ValueError where value() raises."""
+        raise NotImplementedError
+
+    # Every state class defines value() itself, not here, as
+    # perfbench/tracer.py counts the calls of a class's own value().
     def value(self) -> BigFixed:
         raise NotImplementedError
 
@@ -179,9 +187,12 @@ class WallisState(_ClosedFormState):
             acc += (acc + (a * b >> 1)) // a // b
         self._acc, self.n = acc, target
 
-    def value(self) -> BigFixed:
+    def significand(self) -> int:
         check_index(self.method, self.n)
-        return _fixed(self._acc, self.ctx.scale)
+        return self._acc
+
+    def value(self) -> BigFixed:
+        return _fixed(self.significand(), self.ctx.scale)
 
     @staticmethod
     def _closed_form(n: int, w: int) -> tuple[int, int] | None:
@@ -221,8 +232,11 @@ class LeibnizState(_ClosedFormState):
                 acc += (four + k) // (2 * k + 1)
         self._acc, self.n = acc, k
 
+    def significand(self) -> int:
+        return self._acc
+
     def value(self) -> BigFixed:
-        return _fixed(self._acc, self.ctx.scale)
+        return _fixed(self.significand(), self.ctx.scale)
 
     @staticmethod
     def _closed_form(n: int, w: int) -> tuple[int, int] | None:
@@ -265,8 +279,11 @@ class NewtonArcsineState(ApproximantState):
             k += 1
         self._t, self._acc, self.n = t, acc, max(k, target)
 
+    def significand(self) -> int:
+        return 6 * self._acc
+
     def value(self) -> BigFixed:
-        return _fixed(6 * self._acc, self.ctx.scale)
+        return _fixed(self.significand(), self.ctx.scale)
 
 
 class EulerCFState(ApproximantState):
@@ -294,12 +311,12 @@ class EulerCFState(ApproximantState):
             self._b_prev, self._b = self._b, 2 * self._b + a_k * self._b_prev
         self.n = k
 
-    def value(self) -> BigFixed:
+    def significand(self) -> int:
         check_index(self.method, self.n)
-        return _fixed(
-            _div_half_even(4 * self._b * 10 ** self.ctx.scale, self._a),
-            self.ctx.scale,
-        )
+        return _div_half_even(4 * self._b * 10 ** self.ctx.scale, self._a)
+
+    def value(self) -> BigFixed:
+        return _fixed(self.significand(), self.ctx.scale)
 
 
 class VieteState(ApproximantState):
@@ -342,9 +359,12 @@ class VieteState(ApproximantState):
             k += 1
         self._r, self._d, self.n = r, d, max(k, target)
 
-    def value(self) -> BigFixed:
+    def significand(self) -> int:
         check_index(self.method, self.n)
-        return _fixed(_isqrt_nearest(4 * self._d * self._one), self.ctx.scale)
+        return _isqrt_nearest(4 * self._d * self._one)
+
+    def value(self) -> BigFixed:
+        return _fixed(self.significand(), self.ctx.scale)
 
 
 class ZetaState(ApproximantState):
@@ -362,10 +382,13 @@ class ZetaState(ApproximantState):
             acc += _div_half_even(one, k ** s)
         self._acc, self.n = acc, max(self.n, target)
 
-    def value(self) -> BigFixed:
+    def significand(self) -> int:
         check_index(self.method, self.n)
         radicand = _fixed(self._constant * self._acc, self.ctx.scale)
-        return fx_nth_root(radicand, self._s, self.ctx)
+        return fx_nth_root(radicand, self._s, self.ctx).significand
+
+    def value(self) -> BigFixed:
+        return _fixed(self.significand(), self.ctx.scale)
 
 
 _STATE_CLASSES = {

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -272,6 +273,32 @@ class TestMainExitCodes:
                      "--dp", "12", "--format", "csv"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[2] == "3.002175954557"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="Python before 3.10.7 converts ints of any size")
+    @pytest.mark.parametrize("fmt", ["csv", "md", "plot"])
+    @pytest.mark.parametrize("command", [["run", "--method", "newton"],
+                                         ["compare", "--methods", "newton,leibniz"]],
+                             ids=["run", "compare"])
+    def test_largest_dp_is_the_int_to_string_limit(self, command, fmt, capsys):
+        # A value cell prints --dp digits of one int, so up to this
+        # Python's limit (lowered here to 640, the least it may be) --dp
+        # prints its rows, and one more is a usage error naming the limit.
+        argv = [*command, "--schedule", "1:3:1", "--format", fmt, "--dp"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            at_limit, printed = main([*argv, "640"]), capsys.readouterr()
+            above, refused = main([*argv, "641"]), capsys.readouterr()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (at_limit, printed.err) == (0, "")
+        values = re.findall(r"(?<![\d.])\d\.\d{640}(?!\d)", printed.out)
+        assert len(values) == 3 * len(command[2].split(","))
+        assert (above, refused.out) == (1, "")
+        assert refused.err == ("pibench: bad --dp 641: more than 640 digits, the limit of this"
+                               " Python's int-to-string conversion"
+                               " (sys.get_int_max_str_digits())\n")
 
     def test_run_plot(self, capsys):
         assert main(["run", "--method", "viete", "--schedule", "1:5:1",

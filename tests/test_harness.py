@@ -89,7 +89,7 @@ class TestReferencePi:
             raise AssertionError("reference_pi stepped a method")
 
         for cls in (ApproximantState, *ApproximantState.__subclasses__()):
-            for name in ("advance_to", "step", "value"):
+            for name in ("advance_to", "step", "significand", "value"):
                 monkeypatch.setattr(cls, name, broken, raising=False)
         ref = reference_pi(PrecisionCtx(15, 17))
         assert fx_to_string(ref.value, 15) == "3.141592653589793"
@@ -517,6 +517,9 @@ class _Registers(ApproximantState):
     def advance_to(self, target):
         self.n = max(self.n, target)
 
+    def significand(self):
+        return self._significands[self.n]
+
     def value(self):
         return BigFixed(self._significands[self.n], self.ctx.scale)
 
@@ -626,6 +629,28 @@ class TestCsvRows:
         rows = _csv_rows(_Registers(ctx, significands), schedule, ref)
         records = _records(MethodId.WALLIS, _Registers(ctx, significands), schedule, ctx, ref)
         assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+
+    @pytest.mark.parametrize("dp", [1, 2, 15, 40, 150])
+    def test_digits_at_every_boundary(self, dp):
+        # A truncation t shares the reference's integer part and first j
+        # digits when L_j <= t < H_j = L_j + 10**(dp - j). Each t at and one
+        # below every L_j and H_j, j = 0 (integer parts 2 and 4) to dp, with
+        # the least and the greatest significand that truncates to it. Pi's
+        # 32nd decimal is 0, so at --dp 40 L_31 = L_32.
+        ref = _cli_ref(dp, 10)
+        r, cut = ref.value, 10 ** ref.ctx.guard_dp
+        ref_cut = r.significand * 10 ** dp // 10 ** r.scale
+        truncations = {ref_cut}
+        for j in range(dp + 1):
+            low = ref_cut // 10 ** (dp - j) * 10 ** (dp - j)
+            high = low + 10 ** (dp - j)
+            truncations |= {low - 1, low, high - 1, high}
+        significands = [t * cut + rest for t in sorted(truncations) for rest in (0, cut - 1)]
+        schedule = Schedule(range(len(significands)))
+        rows = _csv_rows(_Registers(ref.ctx, significands), schedule, ref)
+        digits = [int(row.split(",")[5]) for row in rows]
+        assert digits == [digits_correct(BigFixed(s, ref.ctx.scale), ref) for s in significands]
+        assert set(digits) == set(range(dp + 1))
 
     def test_a_threshold_equal_to_an_error_is_not_crossed(self):
         # The crossing is strict, as in compare: Wallis's abs error falls

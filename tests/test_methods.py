@@ -388,6 +388,22 @@ class TestStateProtocol:
             assert resumed.significand == expected.significand
             assert resumed.scale == expected.scale
 
+    @pytest.mark.parametrize("scale", [*range(1, 9), 27, 32, 163])
+    @pytest.mark.parametrize("method", MethodId, ids=lambda m: m.value)
+    def test_significand_is_the_value_s(self, method, scale):
+        # The row kernel reads significand(), and the library value().
+        ctx = PrecisionCtx(scale, 0)
+        state = make_state(method, ctx)
+        first = state.min_index
+        for n in sorted({first, 1, 2, 50, 1000}):
+            state.advance_to(n)
+            assert state.significand() == state.value().significand, n
+        fresh = make_state(method, ctx)  # at n = 0, below Wallis's first n, say
+        if fresh.n < first:
+            for read in (fresh.value, fresh.significand):
+                with pytest.raises(ValueError, match=f"{method.value} is defined for n >= 1"):
+                    read()
+
     def test_step_advances_by_one(self):
         state = make_state(MethodId.WALLIS, CTX)
         for i in range(1, 6):
