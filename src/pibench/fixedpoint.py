@@ -9,14 +9,17 @@ iteration for an odd remainder) and rounds that half-even. Both stay
 within one unit in the last place. fx_round and fx_to_string round
 half-even to a given number of places.
 
-Values are immutable; all functions are pure.
+Values are immutable; all functions are pure. BigFixed and PrecisionCtx
+are slotted, and assigning or deleting a field raises FrozenInstanceError
+(see _Frozen). They are written out by hand: the stdlib module that would
+generate them imports inspect, ast and dis, which took about half of
+pibench's start-up.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import total_ordering
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.(\d+))?$")
@@ -66,18 +69,61 @@ def _iroot(n: int, r: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class PrecisionCtx:
+class _Frozen:
+    """Base of the immutable value classes.
+
+    The fields are the slots, in order; __init__ sets each once through
+    object.__setattr__ (or its slot descriptor). Equality (with the same
+    class only), hash and repr are those of the field tuple; copy, deepcopy
+    and pickle rebuild a value through __init__ (__reduce__). Assigning or
+    deleting a field raises the stdlib's FrozenInstanceError, imported on
+    that error path only.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen_error("assign to", name)
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen_error("delete", name)
+
+
+def _frozen_error(verb: str, name: str) -> AttributeError:
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class PrecisionCtx(_Frozen):
     """Reporting precision (working_dp) plus internal guard digits."""
 
-    working_dp: int
-    guard_dp: int = 10
+    __slots__ = ("working_dp", "guard_dp")
 
-    def __post_init__(self) -> None:
-        if self.working_dp < 1:
+    def __init__(self, working_dp: int, guard_dp: int = 10) -> None:
+        if working_dp < 1:
             raise ValueError("working_dp must be >= 1")
-        if self.guard_dp < 0:
+        if guard_dp < 0:
             raise ValueError("guard_dp must be >= 0")
+        object.__setattr__(self, "working_dp", working_dp)
+        object.__setattr__(self, "guard_dp", guard_dp)
 
     @property
     def scale(self) -> int:
@@ -97,21 +143,19 @@ def default_guard(max_n: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class BigFixed:
+class BigFixed(_Frozen):
     """significand * 10**-scale. Zero is canonically (0, 0).
 
     Slotted: a value holds its two integers and no instance dict.
     """
 
-    significand: int
-    scale: int = 0
+    __slots__ = ("significand", "scale")
 
-    def __post_init__(self) -> None:
-        if self.scale < 0:
+    def __init__(self, significand: int, scale: int = 0) -> None:
+        if scale < 0:
             raise ValueError("scale must be >= 0")
-        if self.significand == 0 and self.scale != 0:
-            object.__setattr__(self, "scale", 0)
+        _set_significand(self, significand)
+        _set_scale(self, scale if significand else 0)
 
     # Equality and ordering compare real values, not representations.
     def _aligned(self, other: "BigFixed") -> tuple[int, int]:
@@ -159,7 +203,7 @@ _set_scale = BigFixed.scale.__set__
 
 def _fixed(significand: int, scale: int) -> BigFixed:
     """BigFixed(significand, scale) for a scale already known to be >= 0,
-    without __post_init__: the private constructor of the per-sample
+    without __init__'s check: the private constructor of the per-sample
     value() paths. A zero significand still gets scale 0.
     """
     x = _new(BigFixed)

@@ -17,10 +17,9 @@ string. The selftest recomputes every table and checks:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+import pkgutil
 from functools import lru_cache
-from importlib import resources
+from typing import NamedTuple
 
 from . import report
 from .fixedpoint import BigFixed, PrecisionCtx, fx_sqrt
@@ -31,12 +30,11 @@ from .methods import (LeibnizState, MethodId, NewtonArcsineState, VieteState, Wa
 
 @lru_cache(maxsize=1)
 def load() -> dict:
-    with resources.files("pibench._data").joinpath("goldens.json").open() as f:
-        return json.load(f)["tables"]
+    # Through the package's own loader, so a zipped install reads it too.
+    return json.loads(pkgutil.get_data(__name__, "_data/goldens.json"))["tables"]
 
 
-@dataclass(frozen=True)
-class SelftestReport:
+class SelftestReport(NamedTuple):
     lines: list
     expected_divergent: int
     mismatches: int
@@ -78,6 +76,8 @@ def _quick_invariants() -> list:
         if (state.value() > ref.value) != (n % 2 == 0):
             failures.append(f"INVARIANT FAIL: alternation broken at n={n}")
             break
+
+    from fractions import Fraction
 
     for d in range(1, 31):
         series = sum(Fraction(4 * (-1) ** k, 2 * k + 1) for k in range(d + 1))

@@ -6,13 +6,13 @@ import contextlib
 import time
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
+    _Frozen,
     _div_half_even,
     default_guard,
     fx_parse,
@@ -31,13 +31,15 @@ class ReferenceIntegrityError(Exception):
     """The reference value failed its 15-digit integrity check."""
 
 
-@dataclass(frozen=True)
-class ReferencePi:
+class ReferencePi(_Frozen):
     """A reference value of pi (reference_pi rounds it at the context
-    scale) and the context the error metrics are taken at."""
+    scale) and the context the error metrics are taken at: a frozen pair."""
 
-    value: BigFixed
-    ctx: PrecisionCtx
+    __slots__ = ("value", "ctx")
+
+    def __init__(self, value: BigFixed, ctx: PrecisionCtx) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ctx", ctx)
 
 
 def _atan_inv(x: int, one: int) -> int:
@@ -593,8 +595,7 @@ ERR_DP = 5  # decimal places of every printed error percentage
 _VALUE_AND_ERR = (("value", "{method}"), ("err", "Error (%)"))
 
 
-@dataclass(frozen=True)
-class TablePreset:
+class TablePreset(NamedTuple):
     methods: tuple[MethodId, ...]
     schedule: Schedule
     working_dp: int  # also the printed value digits

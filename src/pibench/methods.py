@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .fixedpoint import (
@@ -99,12 +98,13 @@ class ApproximantState:
 class _ClosedFormState(ApproximantState):
     """A state whose register at any n has an enclosure without stepping:
     the method's exact value from its closed form (pibench.expansions),
-    widened by the register's bound (_ULPS_A_STEP n ulps, the class
-    docstring's) and by the Machin reference's 0.6 ulp. The closed form is
-    checked once per context against the stepped register at an anchor n
-    (_anchored), so a wrong coefficient leaves no enclosure."""
+    widened by the register's bound (num n / den ulps for _ULPS_A_STEP =
+    (num, den), the class docstring's) and by the Machin reference's 0.6
+    ulp. The closed form is checked once per context against the stepped
+    register at an anchor n (_anchored), so a wrong coefficient leaves no
+    enclosure."""
 
-    _ULPS_A_STEP = Fraction(1)
+    _ULPS_A_STEP = (1, 1)
 
     def enclosure(self, n: int) -> tuple[int, int] | None:
         """(lo, hi) with lo <= the register advance_to(n) would hold <= hi,
@@ -121,7 +121,8 @@ class _ClosedFormState(ApproximantState):
             return None
         lo, hi = exact
         cut = 10 ** (w - self.ctx.scale)
-        bound = math.ceil(self._ULPS_A_STEP * n)
+        num, den = self._ULPS_A_STEP
+        bound = -(-num * n // den)  # ceil(num n / den)
         return lo // cut - bound, -(-hi // cut) + bound
 
 
@@ -166,7 +167,7 @@ class WallisState(_ClosedFormState):
     """
 
     method = MethodId.WALLIS
-    _ULPS_A_STEP = Fraction(59, 100)
+    _ULPS_A_STEP = (59, 100)
 
     def __init__(self, ctx: PrecisionCtx) -> None:
         super().__init__(ctx)
@@ -216,7 +217,7 @@ class LeibnizState(_ClosedFormState):
 
     method = MethodId.LEIBNIZ
     min_index = 0
-    _ULPS_A_STEP = Fraction(1, 2)
+    _ULPS_A_STEP = (1, 2)
 
     def __init__(self, ctx: PrecisionCtx) -> None:
         super().__init__(ctx)
@@ -427,6 +428,8 @@ def approximant(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
 def euler_cf_convergent(d: int) -> Fraction:
     """Exact rational convergent at depth d. selftest and the equivalence
     tests check it against the Leibniz partial sum."""
+    from fractions import Fraction
+
     check_index(MethodId.EULER_CF, d)
     state = EulerCFState(PrecisionCtx(1, 0))
     state.advance_to(d)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fixedpoint import fx_to_string
 from .harness import ERR_DP, TABLE_PRESETS, RunRecord
@@ -19,8 +19,7 @@ class ReportShapeError(ValueError):
     """Records do not match the shape the table spec requires."""
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     """Layout parameters for a rendered table.
 
     A table_id in TABLE_PRESETS selects that published table's methods and

@@ -868,15 +868,13 @@ def _traced_peaks(argv, sizes) -> dict:
 def small_selftest(monkeypatch):
     """Shrink Tables 1-3 to n <= 100, so a full selftest takes milliseconds.
     Their guard follows the schedule, so it falls from 17 to 12 digits."""
-    from dataclasses import replace
-
     from pibench.harness import TABLE_PRESETS, Schedule
 
     goldens.load.cache_clear()
     data = goldens.load()
     small = Schedule(tuple(range(5, 101, 5)))
     for tid in (1, 2, 3):
-        preset = replace(TABLE_PRESETS[tid], schedule=small)
+        preset = TABLE_PRESETS[tid]._replace(schedule=small)
         monkeypatch.setitem(TABLE_PRESETS, tid, preset)
         rows = [r for r in data[str(tid)]["rows"] if r["n"] <= 100]
         monkeypatch.setitem(data[str(tid)], "rows", rows)

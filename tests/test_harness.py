@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -787,7 +786,7 @@ class TestPresets:
                 6: (14, 12), 7: (14, 12)}
         for tid, preset in TABLE_PRESETS.items():
             assert preset.ctx == PrecisionCtx(*want[tid]), tid
-        shrunk = replace(TABLE_PRESETS[1], schedule=Schedule(range(5, 101, 5)))
+        shrunk = TABLE_PRESETS[1]._replace(schedule=Schedule(range(5, 101, 5)))
         assert shrunk.ctx == PrecisionCtx(15, 12)
 
     def test_goldens_agree_with_registry(self):
