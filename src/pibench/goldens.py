@@ -25,7 +25,7 @@ from . import report
 from .fixedpoint import BigFixed, PrecisionCtx, fx_sqrt
 from .harness import TABLE_PRESETS, reference_pi, rows
 from .methods import (LeibnizState, MethodId, NewtonArcsineState, VieteState, WallisState,
-                      ZetaState, euler_cf_convergent)
+                      ZetaState, euler_cf_pair)
 
 
 @lru_cache(maxsize=1)
@@ -77,11 +77,13 @@ def _quick_invariants() -> list:
             failures.append(f"INVARIANT FAIL: alternation broken at n={n}")
             break
 
-    from fractions import Fraction
-
+    # The Leibniz partial sum to k = d is num / den, not reduced; it equals
+    # the convergent at depth d exactly when the cross products agree.
+    num, den = 4, 1
     for d in range(1, 31):
-        series = sum(Fraction(4 * (-1) ** k, 2 * k + 1) for k in range(d + 1))
-        if euler_cf_convergent(d) != series:
+        num, den = num * (2 * d + 1) + 4 * (-1) ** d * den, den * (2 * d + 1)
+        cf_num, cf_den = euler_cf_pair(d)
+        if cf_num * den != num * cf_den:
             failures.append(
                 f"INVARIANT FAIL: continued fraction != series partial sum at d={d}"
             )

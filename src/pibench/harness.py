@@ -354,6 +354,17 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
 # a jump, and loses at most 2.2x on a 150-digit Wallis gap of 512-1,100.
 JUMP_MIN = 512
 
+# _csv_rows computes this many rows before it hands them out, so it reads
+# the clock once a row (for elapsed_ns) and twice a block (to leave out
+# the consumer's time): 1 + 2/B reads a row, not 3. Three reads cost about
+# 0.23 us of a 2.8 us Leibniz row at --dp 15 (2 vCPUs, CPython 3.11), so
+# B = 16 saves 0.14 us a row, and no larger B can save another 0.01 us. But
+# each run holds up to B rows ahead of its consumer, and a compare holds
+# them for every method: at 150 dp, where a row is about 250 bytes, 64
+# rows a method raised the four-method hiprec-dense peak RSS by 0.074 MB,
+# and 16 rows by 0.012 MB.
+ROW_BLOCK = 16
+
 
 @lru_cache(maxsize=1)  # the runs of a compare share one reference
 def _truncation_bounds(ref_cut: int, dp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -411,6 +422,12 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
     of the truncation. The error does not change sign, so its absolute
     value, which the crossings compare, is monotone too. Otherwise the
     state steps. A jumped row's elapsed_ns includes its certificate.
+
+    Rows are computed ROW_BLOCK at a time and then handed out, and crossed
+    is filled as they are computed. The clock stops while a block is
+    handed out, so elapsed_ns still leaves out the consumer's time. Most
+    consecutive rows of a dense schedule share their error cell, so the
+    last one is kept and formatted again only when |q| changes.
     """
     # Every value sits at the context scale, so x / ref at that scale is
     # x.significand * mult / ref_sig and unit is 10**scale, a ratio of 1.
@@ -430,9 +447,11 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
                t.significand * 10 ** max(scale - t.scale, 0)) for t, _ in crossed or ()]
     crossing, count = 0, len(bounds)
     prefix = f"{state.method.value},"
+    last_size, last_cell = -1, ""  # the last |q| and its abs error cell
 
     def row_of(n: int, sig: int, sampled: int) -> tuple[str, int]:
         """(the row at n of a value whose significand is sig, e)."""
+        nonlocal last_size, last_cell
         truncated, rest = divmod(sig, cut)
         if truncated <= ref_cut:
             digits = bisect_right(lows, truncated)
@@ -449,8 +468,10 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
         q, rest = divmod(err, err_cut)
         if rest > half_err or (rest == half_err and q & 1):
             q += 1
-        absolute = err_format % divmod(-q if q < 0 else q, err_one)
-        return (f"{prefix}{n},{value},{'-' if q < 0 else ''}{absolute},{absolute},"
+        size = -q if q < 0 else q
+        if size != last_size:
+            last_size, last_cell = size, err_format % divmod(size, err_one)
+        return (f"{prefix}{n},{value},{'-' if q < 0 else ''}{last_cell},{last_cell},"
                 f"{digits},{sampled}\n"), err
 
     def passed(err: int) -> int:
@@ -476,8 +497,8 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
     jump_min = JUMP_MIN if enclosure else float("inf")
     jump_at = state.n + jump_min  # the first n far enough to jump to
     advance_to, significand, clock = state.advance_to, state.significand, time.perf_counter_ns
-    elapsed = 0
-    start = clock()
+    block = []
+    offset = -clock()  # offset + clock() is the time spent in here so far
     for n in schedule:
         sig = certified(n) if n >= jump_at else None
         if sig is None:
@@ -486,26 +507,30 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
             jump_at = n + jump_min
         else:
             jump_at += jump_min
-        row, err = row_of(n, sig, elapsed + clock() - start)
+        row, err = row_of(n, sig, offset + clock())
         if crossing < count:
             for i in range(crossing, crossed_to := passed(err)):
                 crossed[i] = (crossed[i][0], n)
             crossing = crossed_to
-        elapsed += clock() - start
-        yield row
-        start = clock()
+        block.append(row)
+        if len(block) == ROW_BLOCK:
+            paused = clock()
+            yield from block
+            block = []
+            offset += paused - clock()
+    yield from block
 
 
 # A one-range schedule of at least this many points gives its second half
 # to a forked child (see rows). The parent then computes no row of that
-# half, c = 3-3.5 us each for Leibniz at --dp 15, the cheapest row (2
+# half, c = 2.5-2.7 us each for Leibniz at --dp 15, the cheapest row (2
 # vCPUs, CPython 3.11), but pays F once (fork, pipe, spill files, reaping:
-# 6.2 ms split against 2.1 ms serial at 2 points, minima of 41) and copies
-# each spilled row, 1.0-1.5 us; the child also steps 0.3 us a point to
-# catch up. So a split gains from 2F / (c - copy) points, about 3,000: over
-# 101 alternating pairs of `run --format csv` in one process, split and
-# serial, the split was faster in 45 at 2,048 and at 3,072 points, and in
-# 87 at 4,096 (medians 25.8 against 30.9 ms).
+# 3.5-4.2 ms split against 1.2-1.8 ms serial at 2 points, minima of 41)
+# and copies each spilled row, 1.0-1.5 us; the child also steps 0.3 us a
+# point to catch up. So a split gains from 2F / (c - copy) points, about
+# 3,000-4,000: over 101 alternating pairs of `run --format csv` in one
+# process, split and serial, the split was faster in 49 at 2,048 points,
+# 56 at 3,072, 64 at 4,096 (medians 12.1 against 13.1 ms) and 82 at 6,144.
 SPLIT_MIN_POINTS = 4096
 
 _SPLIT_WORK = "the second half of the schedule"  # what a split's child computes

@@ -425,12 +425,19 @@ def approximant(method: MethodId, n: int, ctx: PrecisionCtx) -> BigFixed:
     return state.value()
 
 
-def euler_cf_convergent(d: int) -> Fraction:
-    """Exact rational convergent at depth d. selftest and the equivalence
-    tests check it against the Leibniz partial sum."""
-    from fractions import Fraction
-
+def euler_cf_pair(d: int) -> tuple[int, int]:
+    """(4 B_d, A_d): the exact convergent at depth d as a numerator and a
+    denominator, not reduced. selftest checks it against the Leibniz
+    partial sum by cross-multiplication, so it imports no fractions."""
     check_index(MethodId.EULER_CF, d)
     state = EulerCFState(PrecisionCtx(1, 0))
     state.advance_to(d)
-    return Fraction(4 * state._b, state._a)
+    return 4 * state._b, state._a
+
+
+def euler_cf_convergent(d: int) -> Fraction:
+    """Exact rational convergent at depth d (euler_cf_pair, reduced). The
+    equivalence tests check it against the Leibniz partial sum."""
+    from fractions import Fraction
+
+    return Fraction(*euler_cf_pair(d))

@@ -80,3 +80,26 @@ def test_start_up_loads_no_heavy_stdlib_module():
     loaded = set(proc.stdout.split())
     assert "pibench.cli" in loaded
     assert not heavy & loaded, sorted(heavy & loaded)
+
+
+def test_selftest_loads_no_fractions():
+    # The selftest checks the continued fraction against the series by
+    # cross-multiplying integers, so a full selftest loads neither
+    # fractions nor decimal.
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from pibench.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['selftest'])\n"
+        "print(code, out.getvalue().splitlines()[-1])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report, modules = proc.stdout.splitlines()
+    assert report == "0 selftest: 111 expected-divergent cells, 0 failures"
+    loaded = set(modules.split())
+    assert "pibench.goldens" in loaded
+    assert not {"fractions", "decimal"} & loaded, sorted({"fractions", "decimal"} & loaded)

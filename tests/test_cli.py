@@ -11,11 +11,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pibench
@@ -32,15 +33,17 @@ from pibench.cli import (
     parse_schedule_expr,
 )
 from pibench.fixedpoint import BigFixed, PrecisionCtx, default_guard, fx_to_string
-from pibench.harness import Schedule, run
+from pibench.harness import PAIRINGS, ROW_BLOCK, Schedule, run
 from pibench.methods import ApproximantState, LeibnizState, MethodId, WallisState
-from pibench.report import CSV_HEADER
+from pibench.report import CSV_HEADER, TableSpec, render_csv, render_markdown, render_plot_data
 from conftest import leibniz_mp, mp_string, pct_err_mp, wallis_mp
 
 
-PINNED_SELFTEST = json.loads(
+_PINNED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json").read_text()
-)["reproduce"]
+)
+PINNED_SELFTEST = _PINNED["reproduce"]
+PINNED_TABLES = _PINNED["tables"]
 
 
 def expanded_schedule(expr: str) -> list[int]:
@@ -313,6 +316,27 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "# crossover" in out
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "plot"])
+    def test_crossings_inside_a_block_are_compare_s(self, fmt, capsys):
+        # Rows are computed a block (harness.ROW_BLOCK) ahead of the
+        # writer, and crossings are filled as rows are computed: the
+        # crossing lines are still the library compare()'s, among them
+        # crossings that fall inside a block.
+        thresholds = "1,0.5,0.001,1e-9"
+        assert main(["compare", "--methods", "leibniz,newton", "--schedule", "1:80:1",
+                     "--thresholds", thresholds, "--format", fmt]) == 0
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if "%: " in ln]
+        runs, crossings = harness.compare(
+            [MethodId.LEIBNIZ, MethodId.NEWTON_ARCSINE], Schedule(range(1, 81)),
+            PrecisionCtx(15, default_guard(80)),
+            tuple(map(parse_decimal_exp, thresholds.split(","))))
+        for records in runs.values():
+            for _ in records:
+                pass
+        assert printed == _crossing_lines(crossings)
+        crossed = [n for pairs in crossings.values() for _, n in pairs if n is not None]
+        assert any(n % ROW_BLOCK not in (0, 1) for n in crossed), crossed
+
     def test_table_4_has_28_rows(self, capsys):
         assert main(["table", "--id", "4"]) == 0
         out = capsys.readouterr().out
@@ -542,6 +566,28 @@ class TestSplit:
         if command[0] == "compare":
             assert "# viete < 0.000000000000000000000000000001%: 43\n" in split
             assert "# newton < 0.000000000000000000000000000001%: not reached\n" in split
+
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    @pytest.mark.parametrize("points", [6 * ROW_BLOCK - 1, 6 * ROW_BLOCK + 2])
+    def test_split_off_a_block_end_equals_serial(self, points, fmt, forks, monkeypatch,
+                                                 capsys):
+        # A half that is not a whole number of blocks (harness.ROW_BLOCK):
+        # the child's rows, and Leibniz's crossing of 0.5% inside the
+        # child's first block, are the serial run's.
+        head, tail = Schedule(range(1, points + 1)).halves(2)
+        assert head.max_n % ROW_BLOCK or (tail.max_n - head.max_n) % ROW_BLOCK
+        argv = ["compare", "--methods", "leibniz,newton", "--schedule", f"1:{points}:1",
+                "--thresholds", "1,0.5", "--format", fmt]
+        assert main(argv) == 0
+        split = capsys.readouterr().out
+        assert len(forks) == 1
+        monkeypatch.setattr(forked, "can_fork", lambda: False)
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert len(forks) == 1
+        assert _without_elapsed(split) == _without_elapsed(serial)
+        assert tail.first < 63 < tail.first + ROW_BLOCK - 1
+        assert "# leibniz < 0.5%: 63\n" in split
 
     def test_elapsed_continues_across_the_split(self, forks, capsys):
         # The child's rows continue from the parent's last elapsed_ns.
@@ -1013,8 +1059,13 @@ class TestSelftestCommand:
         ]
 
     def test_broken_continued_fraction_exits_3(self, small_selftest, monkeypatch, capsys):
-        real_convergent = goldens.euler_cf_convergent
-        monkeypatch.setattr(goldens, "euler_cf_convergent", lambda d: real_convergent(d) + 1)
+        real_pair = goldens.euler_cf_pair
+
+        def plus_one(d):  # the convergent + 1
+            num, den = real_pair(d)
+            return num + den, den
+
+        monkeypatch.setattr(goldens, "euler_cf_pair", plus_one)
         line = "INVARIANT FAIL: continued fraction != series partial sum at d=1"
         assert goldens._quick_invariants() == [line]
         assert main(["selftest"]) == cli.EXIT_MISMATCH
@@ -1025,3 +1076,101 @@ class TestSelftestCommand:
     def test_threads_option_is_gone(self, capsys):
         assert main(["selftest", "--threads", "2"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _crossing_lines(crossings: dict) -> list:
+    """The lines `compare` prints for the crossings of the library's
+    compare(), without their newlines."""
+    return [f"# {m.value} < {fx_to_string(t, t.scale)}%: {'not reached' if n is None else n}"
+            for m, pairs in crossings.items() for t, n in pairs]
+
+
+# Far n only where every method gets there without stepping through it:
+# Wallis and Leibniz jump (up to about 250 and 330 digits; 150 keeps a
+# margin), and Newton's and Viete's registers stop changing, after about
+# 1.5 and 1.66 steps a digit. The largest --dp for each: Viete's steps
+# take a square root each, 0.14 s in all at 1,000 digits, 0.9 s at 2,000.
+_FAR_DP = {"wallis": 150, "leibniz": 150, "newton": 5000, "viete": 1000}
+_ORACLE_MAX_N = 400  # the library oracle steps every n
+
+
+@st.composite
+def _command_lines(draw):
+    """argv for main(): run, compare or table; a method list (one, several
+    or a pairing's name), a schedule of one or more items, --dp from 1 to
+    5,000, thresholds and format, valid or not. Far n (up to 10^18) only
+    where every method reaches it without stepping (_FAR_DP)."""
+    command = draw(st.sampled_from(["run", "compare", "compare", "table"]))
+    if command == "table":
+        return ["table", "--id", str(draw(st.integers(0, 8)))]
+    dp = draw(st.one_of(st.integers(1, 40), st.integers(1, 5000)))
+    names = [m.value for m in MethodId]
+    kind = "one" if command == "run" else draw(
+        st.sampled_from(["pairing", "several", "several", "one or twice"]))
+    if kind == "pairing":
+        methods = draw(st.sampled_from(sorted(PAIRINGS)))
+        chosen = [m.value for m in PAIRINGS[methods]]
+    else:
+        chosen = draw(st.lists(st.sampled_from(names), unique=kind == "several",
+                               min_size=2 if kind == "several" else 1,
+                               max_size={"one": 1, "several": 3, "one or twice": 2}[kind]))
+        methods = ",".join(chosen)
+    start = draw(st.integers(0, 5))
+    step = draw(st.integers(1, 5))
+    items = [f"{start}:{start + step * draw(st.integers(0, 25))}:{step}"]
+    items += map(str, draw(st.lists(st.integers(0, _ORACLE_MAX_N), max_size=3)))
+    if all(dp <= _FAR_DP.get(m, 0) for m in chosen):
+        items += map(str, draw(st.lists(st.integers(10 ** 6, 10 ** 18), max_size=2)))
+    argv = [command, "--methods" if command == "compare" else "--method", methods,
+            "--schedule", ",".join(items), "--dp", str(dp),
+            "--format", draw(st.sampled_from(["md", "csv", "plot"]))]
+    if command == "compare" and draw(st.booleans()):
+        cells = ["1", "0.5", "0.1", "1e-3", "2.5e-7", "1e-20", "0", "x"]
+        argv += ["--thresholds", ",".join(draw(st.lists(st.sampled_from(cells), min_size=1,
+                                                        max_size=4)))]
+    return argv
+
+
+def _library_output(ns) -> str:
+    """What the library's plain record path prints for the parsed run or
+    compare ns: run's or compare()'s records, rendered as ns.fmt, and the
+    crossing lines."""
+    crossings = {}
+    if ns.command == "compare":
+        runs, crossings = harness.compare(ns.methods, ns.schedule, ns.ctx, ns.thresholds)
+        records = [r for m in ns.methods for r in runs[m]]
+    else:
+        records = list(run(ns.methods[0], ns.schedule, ns.ctx))
+    if ns.fmt == "csv":
+        text = render_csv(records)
+    elif ns.fmt == "plot":
+        text = render_plot_data(records)
+    else:
+        text = render_markdown(records, TableSpec(None, ns.ctx.working_dp))
+    if crossings:
+        text += "# crossover: first sampled n with abs error below threshold\n"
+        text += "".join(f"{line}\n" for line in _crossing_lines(crossings))
+    return text
+
+
+@given(_command_lines())
+@settings(deadline=timedelta(seconds=5))
+def test_any_command_line_exits_0_or_1(argv):
+    # Every input gets its rows or a usage error, never exit 4 (an
+    # internal error). Where every n is small, the rows are the library's,
+    # elapsed_ns aside; a published table is its pinned bytes.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("pibench: ")
+        return
+    assert err.getvalue() == ""
+    if argv[0] == "table":
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == PINNED_TABLES[argv[2]]
+        return
+    ns = parse_args(argv)
+    if ns.schedule.max_n <= _ORACLE_MAX_N:
+        assert _without_elapsed(out.getvalue()) == _without_elapsed(_library_output(ns))

@@ -22,6 +22,7 @@ from pibench.harness import (
     ERR_DP,
     JUMP_MIN,
     PAIRINGS,
+    ROW_BLOCK,
     TABLE_PRESETS,
     ReferenceIntegrityError,
     ReferencePi,
@@ -728,13 +729,68 @@ class TestCsvRows:
             methods._anchored.cache_clear()
 
     def test_elapsed_leaves_out_consumer_time(self, ctx15, ref15):
+        # Rows are computed a block (ROW_BLOCK) at a time. The consumer
+        # sleeps at the first rows, and at the last two rows of the first
+        # two blocks and the first two of the next: no sleep may reach
+        # elapsed_ns, which here ends far below one sleep.
+        schedule = Schedule(range(1, 3 * ROW_BLOCK + 3))
+        slow = {0, 1, ROW_BLOCK - 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                2 * ROW_BLOCK - 1, 2 * ROW_BLOCK}
         elapsed = [0]
-        for row in _csv_rows(make_state(MethodId.LEIBNIZ, ctx15), Schedule((1, 2, 3, 4, 5)),
-                             ref15):
+        for i, row in enumerate(_csv_rows(make_state(MethodId.LEIBNIZ, ctx15), schedule,
+                                          ref15)):
             elapsed.append(int(row.rsplit(",", 1)[1]))
-            time.sleep(0.02)
+            if i in slow:
+                time.sleep(0.02)
         steps = [b - a for a, b in zip(elapsed, elapsed[1:])]
+        assert len(steps) == 3 * ROW_BLOCK + 2
         assert all(0 <= s < 20_000_000 for s in steps), steps
+        assert elapsed[-1] < 20_000_000, elapsed
+
+    @pytest.mark.parametrize("points", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                        3 * ROW_BLOCK + 1])
+    @pytest.mark.parametrize("method", [MethodId.LEIBNIZ, MethodId.NEWTON_ARCSINE])
+    def test_rows_and_crossings_across_blocks(self, method, points):
+        # Rows are computed a block at a time: a schedule one short of a
+        # block, a block, one over and one over three blocks each gives
+        # the library's rows, and its crossings, some inside a block.
+        ref = _cli_ref(15, points)
+        ctx, schedule = ref.ctx, Schedule(range(1, points + 1))
+        thresholds = [BigFixed(1), BigFixed(5, 1), BigFixed(1, 3), BigFixed(1, 9), BigFixed(1, 30)]
+        crossed = [(t, None) for t in thresholds]
+        rows = list(_csv_rows(make_state(method, ctx), schedule, ref, crossed))
+        records = list(_records(method, make_state(method, ctx), schedule, ctx, ref))
+        assert len(rows) == points
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+        expected = [(t, None) for t in thresholds]
+        for _ in _crossing(iter(records), expected):
+            pass
+        assert crossed == expected
+
+    def test_error_cell_is_kept_only_while_its_size_is(self):
+        # Consecutive rows whose errors round to q = 12345, -12345, -12345,
+        # 12345 share their abs cell, with the sign per row; 12346, -1, 1,
+        # 0 and 12345 again each change it.
+        ref = _cli_ref(15, 10)
+        scale, r = ref.ctx.scale, ref.value
+        mult, ref_sig, unit = 10 ** r.scale, r.significand, 10 ** scale
+        err_cut = 10 ** (scale - ERR_DP - 2)
+        sizes = [12345, -12345, -12345, 12345, 12346, -12346, -1, 1, 0, 0, 12345]
+        significands = []
+        for q in sizes:
+            ratio = unit - q * err_cut  # the error is exactly q cells
+            guess = ratio * ref_sig // mult
+            significands.append(next(s for s in range(guess - 3, guess + 4)
+                                     if (2 * s * mult + ref_sig) // (2 * ref_sig) == ratio))
+        schedule = Schedule(range(len(sizes)))
+        rows = list(_csv_rows(_Registers(ref.ctx, significands), schedule, ref))
+        records = _records(MethodId.WALLIS, _Registers(ref.ctx, significands), schedule,
+                           ref.ctx, ref)
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+        one = 10 ** ERR_DP
+        assert [row.split(",")[3:5] for row in rows] == [
+            [f"{'-' if q < 0 else ''}{abs(q) // one}.{abs(q) % one:0{ERR_DP}d}",
+             f"{abs(q) // one}.{abs(q) % one:0{ERR_DP}d}"] for q in sizes]
 
 
 def _first_n(method, digits, ctx, ref, budget):
