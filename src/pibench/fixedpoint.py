@@ -2,12 +2,10 @@
 
 A value is a pair (significand, scale) meaning significand * 10**-scale.
 The two context-aware operations, fx_sqrt and fx_nth_root, return a root
-at the context's scale (working digits plus guard digits). fx_sqrt rounds
-to the nearest unit, ties to even; fx_nth_root floors the exact root two
-digits below the target scale (math.isqrt for even orders, integer Newton
-iteration for an odd remainder) and rounds that half-even. Both stay
-within one unit in the last place. fx_round and fx_to_string round
-half-even to a given number of places.
+at the context's scale (working digits plus guard digits). Every root,
+theirs and the methods' own (Viete, zeta), rounds to nearest once, ties
+to even, through one primitive, _root_nearest: half an ulp at most.
+fx_round and fx_to_string round half-even to a given number of places.
 
 Values are immutable; all functions are pure. BigFixed and PrecisionCtx
 are slotted, and assigning or deleting a field raises FrozenInstanceError
@@ -32,12 +30,6 @@ def _div_half_even(num: int, den: int) -> int:
     if twice > den or (twice == den and q & 1):
         q += 1
     return q
-
-
-def _isqrt_nearest(n: int) -> int:
-    """Nearest integer to sqrt(n), n >= 0: floor(2 sqrt(n)) halved, rounded
-    up. No integer n has sqrt(n) = k + 1/2, so there is no tie."""
-    return (math.isqrt(4 * n) + 1) // 2
 
 
 def _iroot(n: int, r: int) -> int:
@@ -67,6 +59,19 @@ def _iroot(n: int, r: int) -> int:
     while (x + 1) ** r <= n:
         x += 1
     return x
+
+
+def _root_nearest(num: int, r: int, den: int = 1) -> int:
+    """Nearest integer to y = (num/den)**(1/r), ties to even; num >= 0,
+    den > 0, r >= 1. Nested floors are exact, so the floor r-th root of
+    floor(2^r num/den) is floor(2y), and (floor(2y) + 1) // 2 rounds y to
+    nearest. A tie, y = q - 1/2, needs (2q - 1)^r den = 2^r num, which no
+    integer num meets when den = 1."""
+    twice = _iroot((num << r) // den, r)
+    q = (twice + 1) // 2
+    if den > 1 and twice & q & 1 and twice ** r * den == num << r:
+        q -= 1
+    return q
 
 
 class _Frozen:
@@ -212,49 +217,35 @@ def _fixed(significand: int, scale: int) -> BigFixed:
     return x
 
 
-def _rescale(x: BigFixed, scale: int) -> BigFixed:
-    if scale == x.scale:
-        return x
-    if scale > x.scale:
-        return BigFixed(x.significand * 10 ** (scale - x.scale), scale)
-    return BigFixed(_div_half_even(x.significand, 10 ** (x.scale - scale)), scale)
-
-
 def fx_sqrt(x: BigFixed, ctx: PrecisionCtx) -> BigFixed:
     """sqrt(x) rounded to nearest at the context scale, ties to even (a tie
-    needs x.scale > 2 * ctx.scale). isqrt(floor(4y)) = floor(2 sqrt(y)) for
-    real y = x * 10^(2 scale), so the finer digits of x cost no accuracy."""
+    needs x.scale > 2 * ctx.scale)."""
     if x.significand < 0:
         raise ValueError("square root of a negative value")
-    e = 2 * ctx.scale - x.scale
-    m, rem = divmod(4 * x.significand * 10 ** max(e, 0), 10 ** max(-e, 0))
-    root = math.isqrt(m)
-    q = (root + 1) // 2
-    if root & q & 1 and not rem and root * root == m:  # sqrt(y) = q - 1/2
-        q -= 1
-    return BigFixed(q, ctx.scale)
+    return fx_nth_root(x, 2, ctx)
 
 
 def fx_nth_root(x: BigFixed, r: int, ctx: PrecisionCtx) -> BigFixed:
-    """x**(1/r) at the context scale, within 1 ulp: the floor of the exact
-    root two digits below the target scale, rounded half-even."""
+    """x**(1/r) rounded to nearest at the context scale, ties to even. The
+    exact radicand x 10^(r scale) is passed whole, as num/den, so the
+    finer digits of x cost no accuracy."""
     if r < 1:
         raise ValueError("root order must be a positive integer")
     if x.significand < 0:
         if r % 2 == 0:
             raise ValueError("even root of a negative value")
         return -fx_nth_root(abs(x), r, ctx)
-    if r == 1:
-        return _rescale(x, ctx.scale)
-    s = ctx.scale + 2
-    n = _rescale(x, r * s).significand
-    return _rescale(BigFixed(_iroot(n, r), s), ctx.scale)
+    e = r * ctx.scale - x.scale
+    q = _root_nearest(x.significand * 10 ** max(e, 0), r, 10 ** max(-e, 0))
+    return BigFixed(q, ctx.scale)
 
 
 def fx_round(x: BigFixed, dp: int) -> BigFixed:
     if dp < 0:
         raise ValueError("dp must be >= 0")
-    return _rescale(x, dp)
+    if dp >= x.scale:
+        return BigFixed(x.significand * 10 ** (dp - x.scale), dp)
+    return BigFixed(_div_half_even(x.significand, 10 ** (x.scale - dp)), dp)
 
 
 def fx_to_string(x: BigFixed, dp: int) -> str:

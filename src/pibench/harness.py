@@ -419,9 +419,11 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
     are monotone in the significand. As the value cells agree, the
     truncations sig // cut of the ends differ by at most one, so every
     register between has one of theirs, and digits_correct is a function
-    of the truncation. The error does not change sign, so its absolute
-    value, which the crossings compare, is monotone too. Otherwise the
-    state steps. A jumped row's elapsed_ns includes its certificate.
+    of the truncation. Where the error keeps its sign, its absolute value,
+    which the crossings compare, is monotone too; where the enclosure holds
+    pi, every error cell is 0 and both ends must have crossed every
+    threshold. Otherwise the state steps. A jumped row's elapsed_ns
+    includes its certificate.
 
     Rows are computed ROW_BLOCK at a time and then handed out, and crossed
     is filled as they are computed. The clock stops while a block is
@@ -489,7 +491,12 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
         if ends is None:
             return None
         (low, low_err), (high, high_err) = row_of(n, ends[0], 0), row_of(n, ends[1], 0)
-        if low != high or high_err < 0 < low_err or passed(low_err) != passed(high_err):
+        reached = passed(low_err)
+        if low != high or reached != passed(high_err):
+            return None
+        # An enclosure of pi holds abs errors down to 0, which cross every
+        # threshold: its ends must have crossed them all.
+        if high_err < 0 < low_err and reached < count:
             return None
         return ends[0]
 

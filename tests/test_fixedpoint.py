@@ -169,17 +169,24 @@ class TestUlpProperties:
         if sig > 0:
             assert lo * lo < scaled_x
 
+    @pytest.mark.parametrize("r", range(1, 9), ids=lambda r: f"r{r}")
     @given(st.integers(0, 10 ** 30), st.integers(0, 30), st.integers(1, 8))
+    @example(775650465614120795780, 22, 5)  # r = 2: a floor two digits
+    @example(31448, 10, 4)  # below, rounded again, lands 1 ulp off (r = 3)
+    @example(125, 6, 1)  # r = 3: 0.000125^(1/3) = 0.05, a tie
     @settings(max_examples=500)
-    def test_sqrt_nearest_for_any_radicand_scale(self, sig, x_scale, dp):
-        # r is the nearest unit to sqrt(y), y = x * 10^(2 dp), ties to even:
-        # max(2r - 1, 0)^2 <= 4y <= (2r + 1)^2, exactly in rationals.
-        r = fx_sqrt(BigFixed(sig, x_scale), PrecisionCtx(dp, 0))
-        q = r.significand * 10 ** (dp - r.scale)
-        four_y = Fraction(4 * sig * 10 ** (2 * dp), 10 ** x_scale)
-        lo, hi = max(2 * q - 1, 0) ** 2, (2 * q + 1) ** 2
-        assert lo <= four_y <= hi
-        if four_y in (lo, hi):
+    def test_sqrt_nearest_for_any_radicand_scale(self, r, sig, x_scale, dp):
+        # q is the nearest unit to y^(1/r), y = x * 10^(r dp), ties to even:
+        # max(2q - 1, 0)^r <= 2^r y <= (2q + 1)^r, exactly in rationals.
+        x, ctx = BigFixed(sig, x_scale), PrecisionCtx(dp, 0)
+        root = fx_nth_root(x, r, ctx)
+        if r == 2:
+            assert fx_sqrt(x, ctx) == root
+        q = root.significand * 10 ** (dp - root.scale)
+        scaled_y = Fraction(2 ** r * sig * 10 ** (r * dp), 10 ** x_scale)
+        lo, hi = max(2 * q - 1, 0) ** r, (2 * q + 1) ** r
+        assert lo <= scaled_y <= hi
+        if scaled_y in (lo, hi):
             assert q % 2 == 0
 
     @given(st.integers(10 ** 10, 10 * 10 ** 10), st.sampled_from([2, 4, 6, 8]))

@@ -687,6 +687,39 @@ class TestCsvRows:
             pass
         assert crossed == expected
 
+    @pytest.mark.parametrize("thresholds, jumps", [
+        ((), True),
+        ((BigFixed(1, 2),), True),
+        ((BigFixed(1, 2), BigFixed(1, 20)), False),
+    ], ids=["no-threshold", "crossed", "one-not-crossed"])
+    def test_an_enclosure_of_pi_jumps_past_every_threshold(self, thresholds, jumps):
+        # Ends 10^-12 either side of pi print the same row, error cells 0,
+        # and both lie below 0.01 %. The errors between them reach 0, so a
+        # threshold of 10^-20 %, which neither end is below, is undecided.
+        ref = _cli_ref(4, 10 ** 18)
+        scale = ref.ctx.scale
+        pi = ref.value.significand * 10 ** scale // 10 ** ref.value.scale
+        width = 10 ** (scale - 12)
+        steps = []
+
+        class Enclosed(_Registers):
+            def advance_to(self, target):
+                steps.append(target)
+                super().advance_to(target)
+
+            def enclosure(self, n):
+                return pi - width, pi + width
+
+        schedule, registers = Schedule((JUMP_MIN,)), [pi] * (JUMP_MIN + 1)
+        crossed = [(t, None) for t in thresholds]
+        rows = _csv_rows(Enclosed(ref.ctx, registers), schedule, ref, crossed)
+        stepped = [(t, None) for t in thresholds]
+        expected = _csv_rows(_Registers(ref.ctx, registers), schedule, ref, stepped)
+        assert list(map(_untimed, rows)) == list(map(_untimed, expected))
+        assert (steps == []) == jumps
+        if jumps:
+            assert crossed == stepped
+
     def test_far_rows_jump_and_dense_rows_step(self, ctx15, ref15, monkeypatch):
         # From n = 0, the k-th row jumped needs k JUMP_MIN steps: 5000 to
         # 5008 jump, 5009 steps from 0, and the rest step one at a time.

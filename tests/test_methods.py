@@ -12,7 +12,6 @@ from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
     _div_half_even,
-    _isqrt_nearest,
     fx_to_string,
 )
 from pibench.methods import (
@@ -214,6 +213,17 @@ class TestZeta:
 
             assert fx_to_string(approximant(mid, 50, ctx), 14) == mp_string(oracle, 14)
 
+    def test_root_is_the_nearest_integer(self):
+        # The exact root is 0.5007 ulp above ...428: a floor two digits
+        # below the scale, rounded again, gave ...428.
+        ctx = PrecisionCtx(15, 12)
+        state = make_state(MethodId.ZETA2, ctx)
+        state.advance_to(78)
+        r = state.significand()
+        assert r == 3129404466289370573505473429
+        twice_squared = 4 * 6 * state._acc * 10 ** ctx.scale  # (2 root)^2
+        assert (2 * r - 1) ** 2 < twice_squared < (2 * r + 1) ** 2
+
 
 # Scales 1-8 and the table scales, 27 (Tables 4-7) and 32 (Tables 1-3).
 BOUND_CTXS = [PrecisionCtx(s, 0) for s in range(1, 9)] + [
@@ -228,6 +238,17 @@ def _errors_in_ulps(method, ctx, exact_values):
         if n >= state.min_index:
             state.advance_to(n)
             yield n, state.value().significand - value * one
+
+
+def _ceil_root(n, s):
+    """The least integer c with c^s >= n, by bisection."""
+    lo, hi = 0, 1
+    while hi ** s < n:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid ** s < n else (lo, mid)
+    return lo
 
 
 def _newton_stop(ctx):
@@ -284,6 +305,31 @@ class TestUlpBounds:
             assert abs(err - factor * prev) <= Fraction(1, 2), f"step {n}"
             assert abs(err) <= Fraction(59, 100) * n, f"n={n}: {float(err)} ulp"
             prev = err
+
+    ZETA_SUMS = {s: list(accumulate((Fraction(1, k ** s) for k in range(1, 301)),
+                                    initial=Fraction(0)))
+                 for s, _ in ZETA_PARAMS.values()}
+
+    @pytest.mark.parametrize("ctx", BOUND_CTXS, ids=lambda c: f"scale{c.scale}")
+    def test_zeta_half_ulp_plus_the_sum_through_the_root(self, ctx):
+        # R within B = 1/2 + (C^(1/s)/s) E_n ulps of (C Z_n)^(1/s), checked
+        # as (R - B)^s <= C Z_n 10^(s scale) <= (R + B)^s in rationals, with
+        # C^(1/s) rounded up to 10^-6.
+        one = 10 ** ctx.scale
+        for method, (s, c) in ZETA_PARAMS.items():
+            state, sums = make_state(method, ctx), self.ZETA_SUMS[s]
+            last = state._last
+            assert last ** s < 2 * one <= (last + 1) ** s
+            slope = Fraction(_ceil_root(c * 10 ** (6 * s), s), 10 ** 6 * s)
+            tail = Fraction(one, (s - 1) * last ** (s - 1))
+            for n in range(1, len(sums)):
+                state.advance_to(n)
+                sum_err = Fraction(min(n, last), 2) + (tail if n > last else 0)
+                assert abs(state._acc - one * sums[n]) <= sum_err, f"{method.value} n={n}"
+                r, b = state.significand(), Fraction(1, 2) + slope * sum_err
+                target = c * sums[n] * one ** s
+                assert 0 < r - b and (r - b) ** s <= target <= (r + b) ** s, \
+                    f"{method.value} n={n}"
 
     def test_wallis_bound_far_out(self):
         # W_n = 2 (2^n n!)^4 / ((2n)! (2n+1)!), compared in integers.
@@ -491,7 +537,7 @@ def _reference_step(state):
         state._b_prev, state._b = state._b, 2 * state._b + a_k * state._b_prev
     elif m is MethodId.VIETE:
         two = 2 * state._one
-        state._r = _isqrt_nearest((two + state._r) * state._one)
+        state._r = (math.isqrt(4 * (two + state._r) * state._one) + 1) // 2
         state._d = _div_half_even(4 * state._d * state._one, two + state._r)
     else:
         state._acc += _div_half_even(state._one, n ** state._s)
