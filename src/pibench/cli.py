@@ -62,8 +62,21 @@ def parse_schedule_expr(expr: str) -> Schedule:
         raise UsageError(str(e))
 
 
+def _digit_limit() -> int:
+    """This Python's limit on the digits of an int converted to a string;
+    0 is no limit, as on Python before 3.10.7, which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+_OVER_LIMIT = ("more than {} digits, the limit of this Python's int-to-string conversion"
+               " (sys.get_int_max_str_digits())")
+
+
 def parse_decimal_exp(s: str) -> BigFixed:
-    """Decimal number with optional exponent, e.g. 0.5 or 1e-3."""
+    """Decimal number with optional exponent, e.g. 0.5 or 1e-3. It is
+    printed in full, so a number with more digits after the point, or in
+    its significand, than _digit_limit() is a UsageError, found before its
+    significand is built."""
     s = s.strip()
     mant, sep, exp_s = s.partition("e") if "e" in s else s.partition("E")
     try:
@@ -71,9 +84,12 @@ def parse_decimal_exp(s: str) -> BigFixed:
         v = fx_parse(mant)
     except ValueError:
         raise UsageError(f"bad decimal number {s!r}")
-    if exp >= v.scale:
-        return BigFixed(v.significand * 10 ** (exp - v.scale), 0)
-    return BigFixed(v.significand, v.scale - exp)
+    shift, limit = exp - v.scale, _digit_limit()  # the number is v.significand 10**shift
+    if limit and max(-shift, len(str(abs(v.significand))) + shift) > limit:
+        raise UsageError(f"bad threshold {s!r}: {_OVER_LIMIT.format(limit)}")
+    if shift >= 0:
+        return BigFixed(v.significand * 10 ** shift, 0)
+    return BigFixed(v.significand, -shift)
 
 
 def _parse_methods(expr: str) -> list:
@@ -145,12 +161,10 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError("run takes exactly one --method")
     if ns.command == "compare" and ns.thresholds is not None:
         ns.thresholds = tuple(map(parse_decimal_exp, ns.thresholds.split(",")))
-    # A value cell prints --dp digits of one int. 0 is no limit, as on
-    # Python before 3.10.7, which has no get_int_max_str_digits.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # A value cell prints --dp digits of one int.
+    limit = _digit_limit()
     if limit and ns.dp > limit:
-        raise UsageError(f"bad --dp {ns.dp}: more than {limit} digits, the limit of this"
-                         " Python's int-to-string conversion (sys.get_int_max_str_digits())")
+        raise UsageError(f"bad --dp {ns.dp}: {_OVER_LIMIT.format(limit)}")
     try:
         ns.ctx = PrecisionCtx(ns.dp, default_guard(ns.schedule.max_n))
     except ValueError as e:  # the guard is derived, so the rule broken is --dp's

@@ -11,7 +11,9 @@ Values are immutable; all functions are pure. BigFixed and PrecisionCtx
 are slotted, and assigning or deleting a field raises FrozenInstanceError
 (see _Frozen). They are written out by hand: the stdlib module that would
 generate them imports inspect, ast and dis, which took about half of
-pibench's start-up.
+pibench's start-up. BigFixed is built by its __init__ only. It serves the
+library's records and metrics; no CLI row builds one, as the row kernel
+reads each method's integer significand.
 """
 
 from __future__ import annotations
@@ -159,8 +161,8 @@ class BigFixed(_Frozen):
     def __init__(self, significand: int, scale: int = 0) -> None:
         if scale < 0:
             raise ValueError("scale must be >= 0")
-        _set_significand(self, significand)
-        _set_scale(self, scale if significand else 0)
+        object.__setattr__(self, "significand", significand)
+        object.__setattr__(self, "scale", scale if significand else 0)
 
     # Equality and ordering compare real values, not representations.
     def _aligned(self, other: "BigFixed") -> tuple[int, int]:
@@ -197,24 +199,6 @@ class BigFixed(_Frozen):
 
     def __repr__(self) -> str:  # debugging aid, not the wire format
         return f"BigFixed({fx_to_string(self, self.scale)})"
-
-
-# The slot descriptors themselves: object.__setattr__ would look each one
-# up on every call, which measured about 40 % more per value.
-_new = object.__new__
-_set_significand = BigFixed.significand.__set__
-_set_scale = BigFixed.scale.__set__
-
-
-def _fixed(significand: int, scale: int) -> BigFixed:
-    """BigFixed(significand, scale) for a scale already known to be >= 0,
-    without __init__'s check: the private constructor of the per-sample
-    value() paths. A zero significand still gets scale 0.
-    """
-    x = _new(BigFixed)
-    _set_significand(x, significand)
-    _set_scale(x, scale if significand else 0)
-    return x
 
 
 def fx_sqrt(x: BigFixed, ctx: PrecisionCtx) -> BigFixed:

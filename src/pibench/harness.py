@@ -367,19 +367,19 @@ ROW_BLOCK = 16
 
 
 @lru_cache(maxsize=1)  # the runs of a compare share one reference
-def _truncation_bounds(ref_cut: int, dp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(lows, highs) such that the correct digits (digits_correct) of a
-    value truncated at dp digits to t, against the reference truncated
-    there to ref_cut, are bisect_right(lows, t) at t <= ref_cut and dp -
-    bisect_right(highs, t) above it.
+def _truncation_bounds(ref_cut: int, dp: int) -> tuple[int, ...]:
+    """Ascending bounds such that, for i = bisect_right(bounds, t), the
+    correct digits (digits_correct) of a value truncated at dp digits to t,
+    against the reference truncated there to ref_cut, are i if i <= dp and
+    2 dp - i otherwise.
 
     t agrees with ref_cut in its integer part and first j fractional digits
-    when L_j <= t < L_j + 10**(dp - j), L_j being ref_cut with its last
-    dp - j digits zeroed. L_j rises with j and the upper end falls, so lows
-    lists L_1..L_dp and highs the upper ends, both ascending. They are built
-    a digit at a time, j = dp down to 1, in time quadratic in dp: 34 ms at
-    4,300 digits, where a division per j takes 0.54 s (2 vCPUs, CPython
-    3.11).
+    when L_j <= t < H_j = L_j + 10**(dp - j), L_j being ref_cut with its
+    last dp - j digits zeroed. L_j rises with j and H_j falls, and L_dp =
+    ref_cut < H_dp, so the bounds are L_1..L_dp and then H_dp..H_1. They are
+    built a digit at a time, j = dp down to 1, in time quadratic in dp: 34
+    ms at 4,300 digits, where a division per j takes 0.54 s (2 vCPUs,
+    CPython 3.11).
     """
     lows, highs, place, tail, head = [], [], 1, 0, ref_cut  # place 10**(dp - j)
     for _ in range(dp):
@@ -387,7 +387,7 @@ def _truncation_bounds(ref_cut: int, dp: int) -> tuple[tuple[int, ...], tuple[in
         highs.append(ref_cut - tail + place)
         head, digit = divmod(head, 10)
         tail, place = tail + digit * place, place * 10
-    return tuple(reversed(lows)), tuple(highs)
+    return tuple(reversed(lows)) + tuple(highs)
 
 
 def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
@@ -438,7 +438,7 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
     scale, dp, r = ref.ctx.scale, ref.ctx.working_dp, ref.value
     mult, ref_sig, unit, cut = 10 ** r.scale, r.significand, 10 ** scale, 10 ** (scale - dp)
     ref_cut = ref_sig * 10 ** dp // 10 ** r.scale
-    lows, highs = _truncation_bounds(ref_cut, dp)
+    digit_bounds = _truncation_bounds(ref_cut, dp)
     # The error significand is 100 * e, for e = unit - round(x * mult /
     # ref_sig), so its cell is e rounded at 10**(scale - ERR_DP - 2) units,
     # and abs error < threshold t is |e| * a < b with these a and b.
@@ -455,10 +455,8 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
         """(the row at n of a value whose significand is sig, e)."""
         nonlocal last_size, last_cell
         truncated, rest = divmod(sig, cut)
-        if truncated <= ref_cut:
-            digits = bisect_right(lows, truncated)
-        else:
-            digits = dp - bisect_right(highs, truncated)
+        i = bisect_right(digit_bounds, truncated)
+        digits = i if i <= dp else 2 * dp - i
         if rest > half_cut or (rest == half_cut and truncated & 1):
             truncated += 1
         value = value_format % divmod(truncated, value_one)

@@ -3,7 +3,8 @@
 Each generator keeps its accumulators as raw scaled integers (value =
 register * 10**-scale) so that a step is a handful of integer ops with a
 single half-even rounding. significand() reads the value as an integer at
-the context scale, and value() wraps that integer in a BigFixed. Re-running
+the context scale. value(), defined once on ApproximantState, wraps that
+integer in a BigFixed for the library; no CLI row builds one. Re-running
 a fresh generator to the same index reproduces the same bits, so
 approximant(method, n, ctx) and a resumed state are interchangeable.
 
@@ -40,7 +41,6 @@ from .fixedpoint import (
     BigFixed,
     PrecisionCtx,
     _div_half_even,
-    _fixed,
     _iroot,
     _root_nearest,
 )
@@ -70,8 +70,8 @@ ZETA_METHODS = tuple(ZETA_PARAMS)
 
 
 class ApproximantState:
-    """n plus integer registers; subclasses define advance_to(target),
-    significand() and value()."""
+    """n plus integer registers; subclasses define advance_to(target) and
+    significand(), and value() wraps the significand in a BigFixed."""
 
     method: MethodId
     min_index = 1  # smallest n at which value() is defined
@@ -85,13 +85,19 @@ class ApproximantState:
 
     def significand(self) -> int:
         """The value at n as an integer at the context scale: value() is
-        that integer times 10**-scale. ValueError where value() raises."""
+        that integer times 10**-scale. ValueError where the method is not
+        defined at n."""
         raise NotImplementedError
 
-    # Every state class defines value() itself, not here, as
-    # perfbench/tracer.py counts the calls of a class's own value().
     def value(self) -> BigFixed:
-        raise NotImplementedError
+        return BigFixed(self.significand(), self.ctx.scale)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # perfbench/tracer.py counts the calls of a class's own value() only
+        # (ROADMAP item 3), so each class gets the one it inherits as its own.
+        super().__init_subclass__(**kwargs)
+        if "value" not in cls.__dict__:
+            cls.value = cls.value
 
 
 class _ClosedFormState(ApproximantState):
@@ -191,9 +197,6 @@ class WallisState(_ClosedFormState):
         check_index(self.method, self.n)
         return self._acc
 
-    def value(self) -> BigFixed:
-        return _fixed(self.significand(), self.ctx.scale)
-
     @staticmethod
     def _closed_form(n: int, w: int) -> tuple[int, int] | None:
         from .expansions import wallis_ratio  # on the first jump only
@@ -234,9 +237,6 @@ class LeibnizState(_ClosedFormState):
 
     def significand(self) -> int:
         return self._acc
-
-    def value(self) -> BigFixed:
-        return _fixed(self.significand(), self.ctx.scale)
 
     @staticmethod
     def _closed_form(n: int, w: int) -> tuple[int, int] | None:
@@ -282,9 +282,6 @@ class NewtonArcsineState(ApproximantState):
     def significand(self) -> int:
         return 6 * self._acc
 
-    def value(self) -> BigFixed:
-        return _fixed(self.significand(), self.ctx.scale)
-
 
 class EulerCFState(ApproximantState):
     """Exact integer convergents A_k, B_k of 4/(1 + 1^2/(2 + 3^2/...)).
@@ -314,9 +311,6 @@ class EulerCFState(ApproximantState):
     def significand(self) -> int:
         check_index(self.method, self.n)
         return _div_half_even(4 * self._b * 10 ** self.ctx.scale, self._a)
-
-    def value(self) -> BigFixed:
-        return _fixed(self.significand(), self.ctx.scale)
 
 
 class VieteState(ApproximantState):
@@ -363,9 +357,6 @@ class VieteState(ApproximantState):
         check_index(self.method, self.n)
         return _root_nearest(4 * self._d * self._one, 2)
 
-    def value(self) -> BigFixed:
-        return _fixed(self.significand(), self.ctx.scale)
-
 
 class ZetaState(ApproximantState):
     """Bound in ulps u = 10^-scale. Each term 1/k^s is rounded to nearest,
@@ -408,9 +399,6 @@ class ZetaState(ApproximantState):
     def significand(self) -> int:
         check_index(self.method, self.n)
         return _root_nearest(self._lift * self._acc, self._s)
-
-    def value(self) -> BigFixed:
-        return _fixed(self.significand(), self.ctx.scale)
 
 
 _STATE_CLASSES = {

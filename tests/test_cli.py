@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from datetime import timedelta
 from fractions import Fraction
@@ -426,6 +427,26 @@ class TestMainExitCodes:
             assert len(captured.err.splitlines()) == 1
         assert kept.read_text() == "earlier output\n"
         assert not fresh.exists()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python before 3.10.7 converts ints of any size")
+    @pytest.mark.parametrize("threshold", ["1e5000", "1e999999999", "1e-999999999"])
+    def test_threshold_past_the_int_to_string_limit(self, threshold, tmp_path, capsys):
+        # A crossing line prints its threshold in full, so its digits after
+        # the point and in its significand are held to --dp's limit, before
+        # 10**999999999 is built or the output opened.
+        out = tmp_path / "out.csv"
+        started = time.perf_counter()
+        code = main(["compare", "--methods", "leibniz,newton", "--schedule", "1:3:1",
+                     "--thresholds", threshold, "--out", str(out)])
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (f"pibench: bad threshold {threshold!r}: more than {limit}"
+                                " digits, the limit of this Python's int-to-string"
+                                " conversion (sys.get_int_max_str_digits())\n")
+        assert not out.exists()
 
     def test_bad_method_fails_before_any_step(self, monkeypatch, capsys):
         # A 10^9-point compare whose second method is not defined at n = 0
@@ -1144,7 +1165,7 @@ def _command_lines(draw):
             "--schedule", ",".join(items), "--dp", str(dp),
             "--format", draw(st.sampled_from(["md", "csv", "plot"]))]
     if command == "compare" and draw(st.booleans()):
-        cells = ["1", "0.5", "0.1", "1e-3", "2.5e-7", "1e-20", "0", "x"]
+        cells = ["1", "0.5", "0.1", "1e-3", "2.5e-7", "1e-20", "0", "x", "1e5000"]
         argv += ["--thresholds", ",".join(draw(st.lists(st.sampled_from(cells), min_size=1,
                                                         max_size=4)))]
     return argv

@@ -608,6 +608,11 @@ class TestCsvRows:
     @example((MethodId.VIETE, Schedule(range(1, 80)), _cli_ref(1, 79), (BigFixed(1),)))
     @example((MethodId.ZETA8, Schedule(range(1, 80)), _cli_ref(1, 79), (BigFixed(1),)))
     @example((MethodId.ZETA6, Schedule(range(100, 200)), _cli_ref(1, 199), (BigFixed(1),)))
+    # Each other method at least once.
+    @example((MethodId.WALLIS, Schedule(range(1, 60)), _cli_ref(15, 59), (BigFixed(1),)))
+    @example((MethodId.EULER_CF, Schedule(range(1, 60)), _cli_ref(15, 59), (BigFixed(1),)))
+    @example((MethodId.ZETA2, Schedule(range(1, 60)), _cli_ref(40, 59), (BigFixed(1),)))
+    @example((MethodId.ZETA4, Schedule(range(1, 60)), _cli_ref(150, 59), (BigFixed(1),)))
     def test_rows_and_crossings_are_the_library_s(self, case):
         method, schedule, ref, thresholds = case
         ctx = ref.ctx

@@ -16,6 +16,7 @@ from pibench.fixedpoint import (
 )
 from pibench.methods import (
     ApproximantState,
+    LeibnizState,
     MethodId,
     ZETA_PARAMS,
     approximant,
@@ -449,6 +450,24 @@ class TestStateProtocol:
             for read in (fresh.value, fresh.significand):
                 with pytest.raises(ValueError, match=f"{method.value} is defined for n >= 1"):
                     read()
+
+    def test_every_state_class_owns_the_one_value(self):
+        # perfbench/tracer.py wraps a class's own value() only, so each
+        # class holds the base's in its __dict__; one a subclass defines
+        # itself is kept, in it and in its subclasses.
+        for m in MethodId:
+            cls = type(make_state(m, CTX))
+            assert cls.__dict__["value"] is ApproximantState.value, m
+
+        class Own(LeibnizState):
+            def value(self):
+                return "own"
+
+        class Below(Own):
+            pass
+
+        assert Own.__dict__["value"] is Below.__dict__["value"]
+        assert Below(CTX).value() == "own"
 
     def test_step_advances_by_one(self):
         state = make_state(MethodId.WALLIS, CTX)
