@@ -344,14 +344,20 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
 # jumps cost less than the one catch-up they put off, and so never costs
 # much more than twice the cheaper choice (rent or buy). A dense schedule
 # that starts far out jumps a few rows and then steps. A jump costs J, the
-# closed form plus two rows, against c a step (medians, 2 vCPUs, CPython
-# 3.11; J at n = 600-1,000, where the series take the most terms, and at
-# n >= 10^6): at scale 32 Wallis J = 45 (28) us, c = 0.25 us, and Leibniz
-# J = 23 (16) us, c = 0.17 us; at scale 165 (150 dp) Wallis J = 520
-# (150) us, c = 0.46 us, and Leibniz J = 140-170 (43) us, c = 0.28 us.
-# Jumping pays from J/c: 135-180 steps at the table scales, 600-1,100 at
-# 150 dp. 512 keeps Table 1's and 2's n = 1000 (900 steps past n = 100)
-# a jump, and loses at most 2.2x on a 150-digit Wallis gap of 512-1,100.
+# closed form plus the rows of its two ends and the printed row, against c
+# a step (medians, 2 vCPUs, CPython 3.11; J over n = 600 to 10^18, at the
+# guard of each n): at --dp 15 Wallis J = 22-38 us, c = 0.21 us, and
+# Leibniz J = 20-25 us, c = 0.16 us; at 150 dp Wallis J = 41-133 us, c =
+# 0.43 us, and Leibniz J = 33-62 us, c = 0.26 us; at 1,000 dp Wallis J =
+# 0.53-1.4 ms, c = 2.0 us, and Leibniz J = 0.38-0.96 ms, c = 1.2 us; at
+# 4,300 dp Wallis J = 6.0-16 ms, c = 7.4 us, and Leibniz J = 4.4-12 ms,
+# c = 4.3 us. The largest J are at the smallest n the series reach. Jumping
+# pays from J/c: 100-180 steps at 15 dp, 100-310 at 150 dp, 270-810 at
+# 1,000 dp and 800-2,900 at 4,300 dp. 512 keeps Table 1's and 2's n = 1000
+# (900 steps past n = 100) a jump, and loses at most about 5.7x on a
+# 4,300-digit gap of 512-2,900 steps. A jump that cannot land costs no more
+# than about n steps, as each series takes at most n terms: 0.45n steps
+# (Wallis) and 0.9n (Leibniz) at 1,000 dp.
 JUMP_MIN = 512
 
 # _csv_rows computes this many rows before it hands them out, so it reads

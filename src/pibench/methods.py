@@ -102,12 +102,13 @@ class ApproximantState:
 
 class _ClosedFormState(ApproximantState):
     """A state whose register at any n has an enclosure without stepping:
-    the method's exact value from its closed form (pibench.expansions),
-    widened by the register's bound (num n / den ulps for _ULPS_A_STEP =
-    (num, den), the class docstring's) and by the Machin reference's 0.6
-    ulp. The closed form is checked once per context against the stepped
-    register at an anchor n (_anchored), so a wrong coefficient leaves no
-    enclosure."""
+    the method's exact value from its closed form (pibench.expansions:
+    Euler's transformation of the Leibniz tail, Gauss's 2F1(1) series for
+    pi/W_n), widened by the register's bound (num n / den ulps for
+    _ULPS_A_STEP = (num, den), the class docstring's) and by the Machin
+    reference's 0.6 ulp. The closed form is checked once per context
+    against the stepped register at an anchor n (_anchored), so a wrong
+    coefficient leaves no enclosure."""
 
     _ULPS_A_STEP = (1, 1)
 
@@ -147,8 +148,7 @@ def _pi_enclosure(w: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _anchored(cls: type, ctx: PrecisionCtx) -> bool:
     """Whether cls's enclosure holds its stepped register at n = 2w and
-    2w + 1, w the closed form's scale. Both series reach w there for w up
-    to 272 (Leibniz) and 359 (Wallis); past that no row jumps."""
+    2w + 1, w the closed form's scale. Both series reach w there."""
     anchor, state = 2 * (ctx.scale + _CLOSED_GUARD), cls(ctx)
     for n in (anchor, anchor + 1):
         state.advance_to(n)

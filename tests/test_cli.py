@@ -272,24 +272,28 @@ class TestMainExitCodes:
         assert row[2] == mp_string(lambda: oracle(10 ** 9), 15)
         assert row[4] == mp_string(lambda: pct_err_mp(oracle(10 ** 9)), 5)
 
-    @pytest.mark.parametrize("dp", [1, 4, 7])
+    @pytest.mark.parametrize("dp", [1, 4, 7, 300, 1000])
     @pytest.mark.parametrize("method, oracle", [("wallis", wallis_mp), ("leibniz", leibniz_mp)])
     def test_run_jumps_to_10_18_at_few_digits(self, method, oracle, dp, monkeypatch, capsys):
         # At --dp 7 or less the enclosure at n = 10^18 holds pi itself; its
         # rows still agree, so the row jumps rather than stepping for ever.
+        # At any --dp the only steps are the closed form's check at its
+        # anchor, 2 (scale + 10) and one past it.
         cls = WallisState if method == "wallis" else LeibnizState
         real_advance = cls.advance_to
 
         def advance_to(state, n):
-            assert n < 1000, f"stepped to {n}"
+            assert n <= 2 * (state.ctx.scale + 10) + 1, f"stepped to {n}"
             real_advance(state, n)
 
         monkeypatch.setattr(cls, "advance_to", advance_to)
         assert main(["run", "--method", method, "--schedule", str(10 ** 18),
                      "--dp", str(dp), "--format", "csv"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert row[2] == mp_string(lambda: oracle(10 ** 18), dp)
-        assert row[3:6] == ["0.00000", "0.00000", str(dp)]
+        assert row[2] == mp_string(lambda: oracle(10 ** 18), dp, dps=dp + 40)
+        # Both are within 10^-18 of pi, whose 18th decimal is 8: they agree
+        # with it in 17 decimals (pi = 3.14159265358979323846...).
+        assert row[3:6] == ["0.00000", "0.00000", str(min(dp, 17))]
 
     def test_run_below_13_dp(self, capsys):
         assert main(["run", "--method", "wallis", "--schedule", "5",
@@ -1126,11 +1130,11 @@ def _crossing_lines(crossings: dict) -> list:
 
 
 # Far n only where every method gets there without stepping through it:
-# Wallis and Leibniz jump (up to about 250 and 330 digits; 150 keeps a
-# margin), and Newton's and Viete's registers stop changing, after about
-# 1.5 and 1.66 steps a digit. The largest --dp for each: Viete's steps
-# take a square root each, 0.14 s in all at 1,000 digits, 0.9 s at 2,000.
-_FAR_DP = {"wallis": 150, "leibniz": 150, "newton": 5000, "viete": 1000}
+# Wallis and Leibniz jump, and Newton's and Viete's registers stop
+# changing, after about 1.5 and 1.66 steps a digit. The largest --dp for
+# each: Viete's steps take a square root each, 0.14 s in all at 1,000
+# digits, 0.9 s at 2,000.
+_FAR_DP = {"wallis": 5000, "leibniz": 5000, "newton": 5000, "viete": 1000}
 _ORACLE_MAX_N = 400  # the library oracle steps every n
 
 

@@ -743,11 +743,15 @@ class TestCsvRows:
     @pytest.mark.parametrize("method, k", [(MethodId.LEIBNIZ, 4), (MethodId.WALLIS, 3)],
                              ids=["leibniz", "wallis"])
     def test_a_wrong_coefficient_prints_no_wrong_cell(self, method, k, monkeypatch):
-        # E_4 = 5 taken as 6 for Leibniz, or T_3 = 2 (so B_4) as 3 for
-        # Wallis: the closed form then misses the register at n = 1000, but
-        # it also misses it at the anchor, so no row jumps.
-        real_zigzag = expansions._zigzag
-        monkeypatch.setattr(expansions, "_zigzag", lambda j: real_zigzag(j) + (j == k))
+        # The ratio of term k + 1 to term k with its numerator off by one:
+        # the closed form then misses the register at n = 1000, but it also
+        # misses it at the anchor, so no row jumps.
+        real_sum = expansions._sum
+
+        def wrong_sum(term, ratio, n):
+            return real_sum(term, lambda j: (ratio(j)[0] + (j == k), ratio(j)[1]), n)
+
+        monkeypatch.setattr(expansions, "_sum", wrong_sum)
         methods._anchored.cache_clear()
         try:
             ref = _cli_ref(15, 10 ** 5)
