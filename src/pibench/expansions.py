@@ -29,10 +29,10 @@ the terms after t_K sum to at most t_K for K < n. W_n/pi is one division,
 and as pi/W_n >= 1 it moves by no more than pi/W_n does.
 
 So in both series the terms from the K-th on sum to at most twice the K-th.
-Both take at most n terms: the Wallis bound needs that cap, and it limits a
-jump that cannot land to about n steps' work. At the anchor n = 2w both
-reach w for any w: n terms give about 0.9n digits (Leibniz) and 0.6n
-(Wallis).
+Both take at most n terms: the Wallis bound needs that cap. At the anchor
+n = 2w both reach w for any w: n terms give about 0.9n digits (Leibniz)
+and 0.6n (Wallis). methods._reach keeps rows below about 1.1w and 1.66w
+terms, where they cannot, from summing at all.
 """
 
 from __future__ import annotations

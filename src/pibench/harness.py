@@ -355,20 +355,21 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
 # pays from J/c: 100-180 steps at 15 dp, 100-310 at 150 dp, 270-810 at
 # 1,000 dp and 800-2,900 at 4,300 dp. 512 keeps Table 1's and 2's n = 1000
 # (900 steps past n = 100) a jump, and loses at most about 5.7x on a
-# 4,300-digit gap of 512-2,900 steps. A jump that cannot land costs no more
-# than about n steps, as each series takes at most n terms: 0.45n steps
-# (Wallis) and 0.9n (Leibniz) at 1,000 dp.
+# 4,300-digit gap of 512-2,900 steps. A row below the series' reach
+# (methods._reach: about 1.66w for Wallis and 1.1w for Leibniz, w the
+# scale + 10) is not tried, and steps at once.
 JUMP_MIN = 512
 
 # _csv_rows computes this many rows before it hands them out, so it reads
 # the clock once a row (for elapsed_ns) and twice a block (to leave out
 # the consumer's time): 1 + 2/B reads a row, not 3. Three reads cost about
-# 0.23 us of a 2.8 us Leibniz row at --dp 15 (2 vCPUs, CPython 3.11), so
-# B = 16 saves 0.14 us a row, and no larger B can save another 0.01 us. But
-# each run holds up to B rows ahead of its consumer, and a compare holds
-# them for every method: at 150 dp, where a row is about 250 bytes, 64
-# rows a method raised the four-method hiprec-dense peak RSS by 0.074 MB,
-# and 16 rows by 0.012 MB.
+# 0.19 us of a 2.1-2.3 us Leibniz row at --dp 15 (minimum and median of 21
+# runs of 50,000 rows, 2 vCPUs, CPython 3.11), so B = 16 saves 0.12 us a
+# row, and no larger B can save another 0.01 us. But each run holds up
+# to B rows ahead of its consumer, and a compare holds them for every
+# method: at 150 dp, where a row is about 250 bytes, 64 rows a method
+# raised the four-method hiprec-dense peak RSS by 0.074 MB, and 16 rows
+# by 0.012 MB.
 ROW_BLOCK = 16
 
 
@@ -433,9 +434,21 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
 
     Rows are computed ROW_BLOCK at a time and then handed out, and crossed
     is filled as they are computed. The clock stops while a block is
-    handed out, so elapsed_ns still leaves out the consumer's time. Most
-    consecutive rows of a dense schedule share their error cell, so the
-    last one is kept and formatted again only when |q| changes.
+    handed out, so elapsed_ns still leaves out the consumer's time.
+
+    Most rows of a dense schedule print one of the last two error cells
+    computed (Leibniz's alternate in sign). So an error cell q is kept with
+    the significands that print it, [lo, hi]: for c = unit - q err_cut,
+    the ratio of an error of exactly q cells, lo = ceil((c - half_err + 1)
+    ref_sig / mult) and hi = floor((c + half_err - 1) ref_sig / mult). For
+    sig in [lo, hi], sig mult / ref_sig lies in [c - half_err + 1, c +
+    half_err - 1], whose ends are integers, so its half-even rounding does
+    too; e / err_cut then lies strictly inside (q - 1/2, q + 1/2), and
+    rounds to q with no tie. A row whose significand lies in one of the
+    last two intervals takes its cells with two comparisons. A row that
+    needs e (a threshold not yet crossed), certified()'s two ends, and a
+    row in neither interval compute the cells in full; only the last keeps
+    them, with their interval, in place of the older one.
     """
     # Every value sits at the context scale, so x / ref at that scale is
     # x.significand * mult / ref_sig and unit is 10**scale, a ratio of 1.
@@ -455,30 +468,42 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
                t.significand * 10 ** max(scale - t.scale, 0)) for t, _ in crossed or ()]
     crossing, count = 0, len(bounds)
     prefix = f"{state.method.value},"
-    last_size, last_cell = -1, ""  # the last |q| and its abs error cell
+    # The last two error cells kept, newest first: the significands [lo,
+    # hi] that print the "signed,abs" cells (see the docstring).
+    lo_new, hi_new, cells_new, lo_old, hi_old, cells_old = 1, 0, "", 1, 0, ""
 
-    def row_of(n: int, sig: int, sampled: int) -> tuple[str, int]:
-        """(the row at n of a value whose significand is sig, e)."""
-        nonlocal last_size, last_cell
+    def row_of(n: int, sig: int, sampled: int, reuse: bool) -> tuple[str, int | None]:
+        """(the row at n of a value whose significand is sig, e). With
+        reuse, a kept interval that holds sig gives the error cells, and e
+        is None; if none holds it, the cells computed are kept."""
+        nonlocal lo_new, hi_new, cells_new, lo_old, hi_old, cells_old
         truncated, rest = divmod(sig, cut)
         i = bisect_right(digit_bounds, truncated)
         digits = i if i <= dp else 2 * dp - i
         if rest > half_cut or (rest == half_cut and truncated & 1):
             truncated += 1
         value = value_format % divmod(truncated, value_one)
-        ratio, rest = divmod(sig * mult, ref_sig)
-        rest += rest
-        if rest > ref_sig or (rest == ref_sig and ratio & 1):
-            ratio += 1
-        err = unit - ratio
-        q, rest = divmod(err, err_cut)
-        if rest > half_err or (rest == half_err and q & 1):
-            q += 1
-        size = -q if q < 0 else q
-        if size != last_size:
-            last_size, last_cell = size, err_format % divmod(size, err_one)
-        return (f"{prefix}{n},{value},{'-' if q < 0 else ''}{last_cell},{last_cell},"
-                f"{digits},{sampled}\n"), err
+        if reuse and lo_new <= sig <= hi_new:
+            cells, err = cells_new, None
+        elif reuse and lo_old <= sig <= hi_old:
+            cells, err = cells_old, None
+        else:
+            ratio, rest = divmod(sig * mult, ref_sig)
+            rest += rest
+            if rest > ref_sig or (rest == ref_sig and ratio & 1):
+                ratio += 1
+            err = unit - ratio
+            q, rest = divmod(err, err_cut)
+            if rest > half_err or (rest == half_err and q & 1):
+                q += 1
+            cell = err_format % divmod(-q if q < 0 else q, err_one)
+            cells = f"{'-' if q < 0 else ''}{cell},{cell}"
+            if reuse:
+                centre = unit - q * err_cut  # the ratio of an error of q cells
+                lo_old, hi_old, cells_old = lo_new, hi_new, cells_new
+                lo_new = -((half_err - 1 - centre) * ref_sig // mult)
+                hi_new, cells_new = (centre + half_err - 1) * ref_sig // mult, cells
+        return f"{prefix}{n},{value},{cells},{digits},{sampled}\n", err
 
     def passed(err: int) -> int:
         """The index of the first threshold from crossing on that |err| is
@@ -494,7 +519,8 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
         ends = enclosure(n)
         if ends is None:
             return None
-        (low, low_err), (high, high_err) = row_of(n, ends[0], 0), row_of(n, ends[1], 0)
+        low, low_err = row_of(n, ends[0], 0, False)
+        high, high_err = row_of(n, ends[1], 0, False)
         reached = passed(low_err)
         if low != high or reached != passed(high_err):
             return None
@@ -518,7 +544,7 @@ def _csv_rows(state, schedule: Schedule, ref: ReferencePi,
             jump_at = n + jump_min
         else:
             jump_at += jump_min
-        row, err = row_of(n, sig, offset + clock())
+        row, err = row_of(n, sig, offset + clock(), crossing == count)
         if crossing < count:
             for i in range(crossing, crossed_to := passed(err)):
                 crossed[i] = (crossed[i][0], n)

@@ -12,6 +12,7 @@ from pibench import expansions, harness, methods
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
+    _div_half_even,
     default_guard,
     fx_parse,
     fx_to_string,
@@ -613,6 +614,13 @@ class TestCsvRows:
     @example((MethodId.EULER_CF, Schedule(range(1, 60)), _cli_ref(15, 59), (BigFixed(1),)))
     @example((MethodId.ZETA2, Schedule(range(1, 60)), _cli_ref(40, 59), (BigFixed(1),)))
     @example((MethodId.ZETA4, Schedule(range(1, 60)), _cli_ref(150, 59), (BigFixed(1),)))
+    # Dense and far out: the rows jump, then step, and reuse their error
+    # cells (of both signs for Leibniz) once the last threshold, 0.001515 %
+    # at n = 21010 and 0.00119 % at n = 21008, is crossed.
+    @example((MethodId.LEIBNIZ, Schedule(range(20000, 22001)), _cli_ref(15, 22000),
+              (BigFixed(1), BigFixed(1515, 6))))
+    @example((MethodId.WALLIS, Schedule(range(20000, 22001)), _cli_ref(40, 22000),
+              (BigFixed(1), BigFixed(119, 5))))
     def test_rows_and_crossings_are_the_library_s(self, case):
         method, schedule, ref, thresholds = case
         ctx = ref.ctx
@@ -770,6 +778,25 @@ class TestCsvRows:
         finally:
             methods._anchored.cache_clear()
 
+    @pytest.mark.parametrize("method", [MethodId.LEIBNIZ, MethodId.WALLIS],
+                             ids=["leibniz", "wallis"])
+    def test_a_row_below_the_reach_steps_without_a_sum(self, method, monkeypatch):
+        # At --dp 1000 the closed forms' scale is w = 1,024, and n = w lies
+        # below both series' reach (methods._reach): the row is far enough
+        # to jump, but it steps, and no series is summed.
+        def no_sum(*args):
+            pytest.fail("a series was summed below its reach")
+
+        monkeypatch.setattr(expansions, "_sum", no_sum)
+        ref = _cli_ref(1000, 1024)
+        ctx, schedule = ref.ctx, Schedule((1024,))
+        assert ctx.scale + 10 == 1024
+        state = make_state(method, ctx)
+        rows = list(_csv_rows(state, schedule, ref))
+        records = _records(method, make_state(method, ctx), schedule, ctx, ref)
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+        assert state.n == 1024
+
     def test_elapsed_leaves_out_consumer_time(self, ctx15, ref15):
         # Rows are computed a block (ROW_BLOCK) at a time. The consumer
         # sleeps at the first rows, and at the last two rows of the first
@@ -833,6 +860,49 @@ class TestCsvRows:
         assert [row.split(",")[3:5] for row in rows] == [
             [f"{'-' if q < 0 else ''}{abs(q) // one}.{abs(q) % one:0{ERR_DP}d}",
              f"{abs(q) // one}.{abs(q) % one:0{ERR_DP}d}"] for q in sizes]
+
+    def test_error_cells_are_reused_only_inside_their_interval(self):
+        # A computed error cell q is kept with the significands [lo, hi]
+        # whose ratio sig * mult / ref_sig lies within half_err - 1 of c =
+        # unit - q err_cut, the ratio of an error of exactly q cells. For
+        # pairs of cells of alternating sign: each pair's centres, then
+        # registers at lo and hi of both intervals, at lo - 1 and hi + 1 of
+        # each while it is kept, and, with both kept again, the least and
+        # the greatest register of each half-cell tie c -+ half_err and of
+        # the ratio one past it, which rounds to the next cell.
+        ref = _cli_ref(15, 10)
+        scale, r = ref.ctx.scale, ref.value
+        mult, ref_sig, unit = 10 ** r.scale, r.significand, 10 ** scale
+        err_cut = 10 ** (scale - ERR_DP - 2)
+        half = err_cut // 2
+
+        def registers(ratio):
+            """The least and the greatest significand whose ratio rounds
+            half-even to ratio."""
+            guess = ratio * ref_sig // mult
+            hits = [s for s in range(guess - 4, guess + 6)
+                    if _div_half_even(s * mult, ref_sig) == ratio]
+            return [hits[0], hits[-1]]
+
+        def interval(q):
+            centre = unit - q * err_cut
+            return (centre, -((half - 1 - centre) * ref_sig // mult),
+                    (centre + half - 1) * ref_sig // mult)
+
+        significands = []
+        for qa, qb in ((12345, -12346), (-3, 2), (1, 0), (0, -1), (-99999, 100000)):
+            (ca, lo_a, hi_a), (cb, lo_b, hi_b) = interval(qa), interval(qb)
+            centres = registers(ca)[:1] + registers(cb)[:1]
+            significands += centres + [lo_a, hi_b, hi_a, lo_b]
+            significands += [lo_a - 1, hi_b + 1] + centres + [hi_a + 1, lo_b - 1]
+            for c in (ca, cb):
+                for ratio in (c - half - 1, c - half, c + half, c + half + 1):
+                    significands += centres + registers(ratio)
+        schedule = Schedule(range(len(significands)))
+        rows = list(_csv_rows(_Registers(ref.ctx, significands), schedule, ref))
+        records = _records(MethodId.WALLIS, _Registers(ref.ctx, significands), schedule,
+                           ref.ctx, ref)
+        assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
 
 
 def _first_n(method, digits, ctx, ref, budget):

@@ -7,7 +7,7 @@ from itertools import accumulate
 import mpmath
 import pytest
 
-from pibench import expansions
+from pibench import expansions, methods
 from pibench.fixedpoint import (
     BigFixed,
     PrecisionCtx,
@@ -368,6 +368,19 @@ class TestClosedForms:
         # 30 terms give about 18 (Wallis) and 27 (Leibniz) of 180 digits.
         assert expansions.wallis_ratio(30, 180) is None
         assert expansions.leibniz_tail(30, 180) is None
+
+    @pytest.mark.parametrize("method", [MethodId.WALLIS, MethodId.LEIBNIZ],
+                             ids=lambda m: m.value)
+    def test_no_closed_form_below_the_reach(self, method):
+        # methods._reach is a lower bound on where a series reaches w (its
+        # class's _unreached proves it), and within 3 of it: 1,115 and
+        # 1,118 for Leibniz at w = 1010, 1,672 and 1,675 for Wallis.
+        cls = type(make_state(method, CTX))
+        for w in range(1, 401):
+            reach = methods._reach(cls, w)
+            assert cls._closed_form(reach - 1, w) is None, w
+            if w % 20 == 0:
+                assert cls._closed_form(reach + 3, w) is not None, w
 
     @pytest.mark.parametrize("ctx", [PrecisionCtx(1, 19), PrecisionCtx(15, 17),
                                      PrecisionCtx(40, 19), PrecisionCtx(150, 19)],
