@@ -83,9 +83,7 @@ def reference_pi(ctx: PrecisionCtx) -> ReferencePi:
     1000 with 0-15 guard digits. The sums at s = 18 and 19 are 13.5 u above
     and 12.6 u below pi, well inside the 15-digit check.
     """
-    e = 1
-    while 10 ** e <= 20 * ctx.scale:
-        e += 1
+    e = len(str(20 * ctx.scale))
     s = max(ctx.scale, 15) + e + 1
     one = 10 ** s
     pi = BigFixed(16 * _atan_inv(5, one) - 4 * _atan_inv(239, one), s)
@@ -355,9 +353,9 @@ def _crossing(records: Iterator[RunRecord], crossed: list) -> Iterator[RunRecord
 # pays from J/c: 100-180 steps at 15 dp, 100-310 at 150 dp, 270-810 at
 # 1,000 dp and 800-2,900 at 4,300 dp. 512 keeps Table 1's and 2's n = 1000
 # (900 steps past n = 100) a jump, and loses at most about 5.7x on a
-# 4,300-digit gap of 512-2,900 steps. A row below the series' reach
-# (methods._reach: about 1.66w for Wallis and 1.1w for Leibniz, w the
-# scale + 10) is not tried, and steps at once.
+# 4,300-digit gap of 512-2,900 steps. A row below the closed forms'
+# anchor n = 2w (w the scale + 10; methods._ClosedFormState.enclosure) is
+# not tried, and steps at once.
 JUMP_MIN = 512
 
 # _csv_rows computes this many rows before it hands them out, so it reads

@@ -33,8 +33,6 @@ b, so the register's bits are those of the single division.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
 
@@ -115,11 +113,20 @@ class _ClosedFormState(ApproximantState):
 
     def enclosure(self, n: int) -> tuple[int, int] | None:
         """(lo, hi) with lo <= the register advance_to(n) would hold <= hi,
-        at the context scale, or None where the closed form cannot reach
-        that scale at n. Below _reach, where it cannot, nothing is summed;
-        _reach is at least 1, so n = 0 has no enclosure."""
-        if (n < _reach(type(self), self.ctx.scale + _CLOSED_GUARD)
-                or not _anchored(type(self), self.ctx)):
+        at the context scale, or None: below the anchor n = 2w (w = scale +
+        _CLOSED_GUARD), without summing, and at every n where _anchored
+        finds the closed form off the stepped register.
+
+        The anchor covers every later n. From n to n' > n, no series' first
+        floored term and no term ratio rises: Leibniz starts at
+        2 10^w // (2n + 3) with ratio (k + 1)/(2n + 2k + 5), and Wallis at
+        10^w with ratio (2k + 1)^2/(2 (k + 1)(2k + 2n + 3)). Each floored
+        term is the one before times the ratio, floored, so by induction
+        each at n' is at most the one at n. _anchored saw a floored term 0
+        among the first 2w at n = 2w, so at every n' >= 2w one is 0 among
+        the first n' (expansions._sum's cap), and no row sums in vain.
+        """
+        if n < 2 * (self.ctx.scale + _CLOSED_GUARD) or not _anchored(type(self), self.ctx):
             return None
         return self._enclosure(n)
 
@@ -137,17 +144,6 @@ class _ClosedFormState(ApproximantState):
 
 # Digits beyond the context scale at which a closed form is evaluated.
 _CLOSED_GUARD = 10
-
-
-@lru_cache(maxsize=None)
-def _reach(cls: type, w: int) -> int:
-    """The least n >= 1 at which cls._unreached(n, w) is false, by
-    bisection over n = 1..2w. _unreached(n, w) proves that the first n
-    floored terms of cls's series at scale w are all non-zero, so that
-    _closed_form(n, w) is None; it is false from the first n where it is,
-    at n = 2w at the latest. Where it is false too soon, a row sums in
-    vain and then steps, and prints the same bytes."""
-    return bisect_left(range(1, 2 * w), True, key=lambda n: not cls._unreached(n, w)) + 1
 
 
 @lru_cache(maxsize=None)
@@ -221,21 +217,6 @@ class WallisState(_ClosedFormState):
         (lo, hi), one = _pi_enclosure(w), 10 ** w
         return lo * ratio[0] // one, -(-hi * ratio[1] // one)
 
-    @staticmethod
-    def _unreached(n: int, w: int) -> bool:
-        """n 4^(n+1) <= 10^w, which makes every one of wallis_ratio's first
-        n floored terms non-zero.
-
-        The exact terms fall, so the least of the first n is the last, T =
-        10^w prod_{j<n-1} (2j+1)^2/(2(j+1)(2j+2n+3)). With p_k = prod_{i<=k}
-        (2i-1)/(2i), the double factorials in it are (2k-1)!! = 2^k k! p_k,
-        and T = 10^w 4^-n ((2n+1)/(2n)) p_(n-1)^2/p_(2n). As (2i-1)^2 <=
-        (2i-1)(2i+1) and >= 2i(2i-2), 1/(4k) <= p_k^2 <= 1/(2k+1) for k >=
-        1. So for n >= 2, T > 10^w 4^-n sqrt(4n+1)/(4(n-1)) > 10^w/(2
-        sqrt(n) 4^n) >= 2; for n = 1, T = 10^w. A floored term is under 2
-        below its exact one (expansions._sum), so each is at least 1.
-        """
-        return n << 2 * n + 2 <= 10 ** w
 
 
 class LeibnizState(_ClosedFormState):
@@ -278,21 +259,6 @@ class LeibnizState(_ClosedFormState):
         lo, hi = _pi_enclosure(w)
         return lo + tail[0], hi + tail[1]
 
-    @staticmethod
-    def _unreached(n: int, w: int) -> bool:
-        """(2n+1) 8^n <= 10^w, which makes every one of leibniz_tail's first
-        n floored terms non-zero.
-
-        The exact terms fall, so with m = n + 1 the least of the first n is
-        the last, T = 2 10^w (n-1)!/prod_{i<n} (2n+2i+3). Each factor is
-        below 2(n+i+2), so the product is below 2^n (2n+1)!/(n+1)!, and as
-        (n-1)! (n+1)! >= n!^2, T > 2 10^w/(2^n (2n+1) C(2n, n)). As
-        C(2n, n) 4^-n = prod_{i<=n} (2i-1)/(2i), whose square is at most
-        1/(2n+1) ((2i-1)^2 <= (2i-1)(2i+1)), T > 2 10^w/(8^n sqrt(2n+1))
-        >= 2. A floored term is under 2 below its exact one
-        (expansions._sum), so each is at least 1.
-        """
-        return 2 * n + 1 << 3 * n <= 10 ** w
 
 
 class NewtonArcsineState(ApproximantState):

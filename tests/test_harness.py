@@ -782,8 +782,8 @@ class TestCsvRows:
                              ids=["leibniz", "wallis"])
     def test_a_row_below_the_reach_steps_without_a_sum(self, method, monkeypatch):
         # At --dp 1000 the closed forms' scale is w = 1,024, and n = w lies
-        # below both series' reach (methods._reach): the row is far enough
-        # to jump, but it steps, and no series is summed.
+        # below the anchor 2w (methods._ClosedFormState.enclosure): the row
+        # is far enough to jump, but it steps, and no series is summed.
         def no_sum(*args):
             pytest.fail("a series was summed below its reach")
 
@@ -796,6 +796,19 @@ class TestCsvRows:
         records = _records(method, make_state(method, ctx), schedule, ctx, ref)
         assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
         assert state.n == 1024
+
+    def test_rows_across_the_anchor_are_the_library_s(self):
+        # At --dp 1000, w = 1,024: row 1000 lies below the anchor 2w and
+        # steps, and rows 2048 (the anchor) and 4000 jump from n = 1000.
+        ref = _cli_ref(1000, 4000)
+        ctx, schedule = ref.ctx, Schedule((1000, 2048, 4000))
+        assert ctx.scale + 10 == 1024
+        for method in (MethodId.WALLIS, MethodId.LEIBNIZ):
+            state = make_state(method, ctx)
+            rows = list(_csv_rows(state, schedule, ref))
+            records = _records(method, make_state(method, ctx), schedule, ctx, ref)
+            assert list(map(_untimed, rows)) == [_untimed(csv_line(r)) for r in records]
+            assert state.n == 1000, method
 
     def test_elapsed_leaves_out_consumer_time(self, ctx15, ref15):
         # Rows are computed a block (ROW_BLOCK) at a time. The consumer

@@ -371,16 +371,25 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("method", [MethodId.WALLIS, MethodId.LEIBNIZ],
                              ids=lambda m: m.value)
-    def test_no_closed_form_below_the_reach(self, method):
-        # methods._reach is a lower bound on where a series reaches w (its
-        # class's _unreached proves it), and within 3 of it: 1,115 and
-        # 1,118 for Leibniz at w = 1010, 1,672 and 1,675 for Wallis.
+    def test_no_closed_form_below_the_reach(self, method, monkeypatch):
+        # A row is tried from the anchor n = 2w on (w = scale + 10), where
+        # _anchored checks the closed form. Every series reaches w there,
+        # and at every later n (no first term or term ratio rises with n);
+        # below it, nothing is summed.
         cls = type(make_state(method, CTX))
         for w in range(1, 401):
-            reach = methods._reach(cls, w)
-            assert cls._closed_form(reach - 1, w) is None, w
-            if w % 20 == 0:
-                assert cls._closed_form(reach + 3, w) is not None, w
+            last = 2 * w + (20 if w % 20 == 0 else 1)
+            for n in range(2 * w, last + 1):
+                assert cls._closed_form(n, w) is not None, (w, n)
+
+        def no_sum(*args):
+            pytest.fail("a series was summed below the anchor")
+
+        monkeypatch.setattr(expansions, "_sum", no_sum)
+        methods._anchored.cache_clear()
+        for ctx in (PrecisionCtx(1, 12), CTX, PrecisionCtx(150, 19), PrecisionCtx(1000, 14)):
+            w = ctx.scale + 10
+            assert make_state(method, ctx).enclosure(2 * w - 1) is None, ctx
 
     @pytest.mark.parametrize("ctx", [PrecisionCtx(1, 19), PrecisionCtx(15, 17),
                                      PrecisionCtx(40, 19), PrecisionCtx(150, 19)],
